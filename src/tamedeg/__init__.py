@@ -19,7 +19,7 @@ from .poisson import (
     poisson_bracket,
     su_bound,
 )
-from .semigroup import frobenius, members_up_to, membership, residue_classes_disjoint
+from .semigroup import frobenius, membership
 from .automorphisms import (
     ElementaryStep,
     PermutationStep,
@@ -36,7 +36,7 @@ from .automorphisms import (
     witness_semigroup,
 )
 from .reduction import ReductionResult, find_any_reduction, find_elementary_reduction
-from .decision import Decision, decide, normalize_triple, scan, scan_rows, type_iii_constraints
+from .decision import Decision, decide, normalize_triple, scan, scan_rows
 from .verify import Check, ExampleReport, verify_example
 
 __all__ = [
@@ -59,9 +59,7 @@ __all__ = [
     "poisson_bracket",
     "su_bound",
     "frobenius",
-    "members_up_to",
     "membership",
-    "residue_classes_disjoint",
     "ElementaryStep",
     "PermutationStep",
     "PolyMap",
@@ -83,7 +81,6 @@ __all__ = [
     "normalize_triple",
     "scan",
     "scan_rows",
-    "type_iii_constraints",
     "Check",
     "ExampleReport",
     "verify_example",

@@ -308,19 +308,10 @@ def example_word() -> list[TameStep]:
 
 
 def parse_word_file(text: str) -> tuple[list[TameStep], tuple[str, ...]]:
-    lines = parsing.significant_lines(text)
-    if not lines:
-        raise parsing.ParseError("empty word file: expected a 'vars:' header", 1, 1)
-    lineno, header = lines[0]
-    if not header.startswith("vars:"):
-        raise parsing.ParseError("expected a 'vars:' header before the first step", lineno, 1)
-    try:
-        names = parsing.validate_names([s.strip() for s in header[len("vars:"):].split(",")])
-    except ValueError as exc:
-        raise parsing.ParseError(str(exc), lineno, 1) from exc
+    lines, names = parsing.read_vars_header(text, "word file", "the first step")
     arity = len(names)
     steps: list[TameStep] = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         fields = line.split()
         kind = fields[0]
         try:

@@ -43,10 +43,6 @@ def _polynomial_argument(parser: argparse.ArgumentParser, raw: str, names, from_
     return parsing.parse_polynomial(raw, names)
 
 
-def _vars_argument(raw: str) -> tuple[str, ...]:
-    return parsing.validate_names([s.strip() for s in raw.split(",")])
-
-
 def _scan_workers() -> int | None:
     raw = os.environ.get("TAME_MDEG_THREADS")
     if raw is None:
@@ -55,7 +51,9 @@ def _scan_workers() -> int | None:
         value = int(raw)
     except ValueError as exc:
         raise ValueError(f"TAME_MDEG_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
+    # The pool forks every worker up front, so never ask for more than
+    # the machine has cores.
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -128,7 +126,7 @@ def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    names = _vars_argument(args.vars)
+    names = parsing.split_names(args.vars)
     f = _polynomial_argument(parser, args.f, names, args.file)
     g = _polynomial_argument(parser, args.g, names, args.file)
     bracket = poisson.poisson_bracket(f, g)
@@ -147,7 +145,7 @@ def _cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def _cmd_su_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    names = _vars_argument(args.vars)
+    names = parsing.split_names(args.vars)
     f = _polynomial_argument(parser, args.f, names, args.file)
     g = _polynomial_argument(parser, args.g, names, args.file)
     big_g = _polynomial_argument(parser, args.G, ("u", "v"), args.file)

@@ -134,25 +134,6 @@ def decide(triple: Sequence[int]) -> Decision:
     return Decision(triple, UNKNOWN, HYPOTHESES_FAIL, failed_hypotheses=tuple(failed))
 
 
-def type_iii_constraints(triple: Sequence[int]) -> int | None:
-    """The parameter n putting the triple in one of two diagnostic
-    families, if any; purely informational.
-
-    Family one: n < d1 <= 3n/2, d2 = 2n, d3 = 3n.
-    Family two: d1 = 3n/2, d2 = 2n, 5n/2 < d3 <= 3n.
-    Both force d2 even, so n is determined as d2/2 when it exists.
-    """
-    d1, d2, d3 = normalize_triple(triple)
-    if d2 % 2:
-        return None
-    n = d2 // 2
-    if d3 == 3 * n and n < d1 and 2 * d1 <= 3 * n:
-        return n
-    if 2 * d1 == 3 * n and 5 * n < 2 * d3 and d3 <= 3 * n:
-        return n
-    return None
-
-
 def sorted_triples(max_degree: int) -> Iterable[tuple[int, int, int]]:
     """All 1 <= d1 <= d2 <= d3 <= max_degree, ordered by (d3, d2, d1)."""
     for d3 in range(1, max_degree + 1):

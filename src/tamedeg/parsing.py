@@ -274,19 +274,34 @@ def significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_map_file(text: str) -> tuple[list[Polynomial], tuple[str, ...]]:
-    """Read a `vars:` header plus one polynomial per line."""
+def split_names(raw: str) -> tuple[str, ...]:
+    """Validated names from a comma-separated list such as `x, y, z`."""
+    return validate_names([s.strip() for s in raw.split(",")])
+
+
+def read_vars_header(text: str, kind: str, first: str) -> tuple[list[tuple[int, str]], tuple[str, ...]]:
+    """The significant lines after a file's `vars:` header, and its names.
+
+    `kind` names the file and `first` what follows the header, for the
+    error messages: ("map file", "the first polynomial").
+    """
     lines = significant_lines(text)
     if not lines:
-        raise ParseError("empty map file: expected a 'vars:' header", 1, 1)
+        raise ParseError(f"empty {kind}: expected a 'vars:' header", 1, 1)
     lineno, header = lines[0]
     if not header.startswith("vars:"):
-        raise ParseError("expected a 'vars:' header before the first polynomial", lineno, 1)
+        raise ParseError(f"expected a 'vars:' header before {first}", lineno, 1)
     try:
-        names = validate_names([s.strip() for s in header[len("vars:"):].split(",")])
+        names = split_names(header[len("vars:"):])
     except ValueError as exc:
         raise ParseError(str(exc), lineno, 1) from exc
-    polys = [parse_polynomial(line, names, lineno) for lineno, line in lines[1:]]
+    return lines[1:], names
+
+
+def parse_map_file(text: str) -> tuple[list[Polynomial], tuple[str, ...]]:
+    """Read a `vars:` header plus one polynomial per line."""
+    lines, names = read_vars_header(text, "map file", "the first polynomial")
+    polys = [parse_polynomial(line, names, lineno) for lineno, line in lines]
     return polys, names
 
 

@@ -136,9 +136,6 @@ class Polynomial:
     def coefficient(self, monomial: Monomial) -> Fraction:
         return self._terms.get(tuple(monomial), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self._arity, Fraction(0))
-
     def degree(self) -> int | float:
         """Total degree; NEG_INFINITY for the zero polynomial."""
         if self._degree is None:
@@ -155,9 +152,6 @@ class Polynomial:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading form")
         d = self.degree()
-        return Polynomial(self._arity, {m: c for m, c in self._terms.items() if sum(m) == d})
-
-    def homogeneous_component(self, d: int) -> Polynomial:
         return Polynomial(self._arity, {m: c for m, c in self._terms.items() if sum(m) == d})
 
     # ---- arithmetic ----
@@ -293,20 +287,6 @@ class Polynomial:
                     prod = prod * powers[i][e]
             result = result + prod
         return result
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Evaluate at a rational point."""
-        if len(point) != self._arity:
-            raise ValueError(f"expected {self._arity} coordinates, got {len(point)}")
-        values = [_coerce(v) for v in point]
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            term = c
-            for v, e in zip(values, m):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
 
     # ---- comparison ----
 

@@ -14,21 +14,32 @@ its degree-23 component, so the default cap is 2 * deg F_target.
 
 Within the capped support the problem is linear: one unknown
 coefficient per support monomial, one equation per monomial of the
-difference that must vanish.  Everything runs over exact rationals;
-there are no thresholds anywhere.
+difference that must vanish.  Everything runs over exact rationals.
+
+The rows go in one degree level at a time, from the top down, and the
+most constrained consistent system fixes the residual degree.  Its
+solutions form a particular solution plus a kernel; columns that no
+kernel vector touches are the same in every solution, so the
+fewest-support tie-break enumerates supports over the kernel's own
+columns only.  SUBSET_BUDGET bounds that enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .polynomials import Monomial, Polynomial
 from .automorphisms import PolyMap
 
-# Upper bound on support-subset solvability probes during tie-breaking.
-# The golden cases need a few dozen; this is pure safety for huge caps.
+# Upper bound on the support probes of one search, over all levels it
+# tries.  The probes enumerate subsets of the kernel's columns, which
+# number a handful on word-generated maps; the bound only matters for
+# hostile maps such as (x, x^2, ...) whose kernels touch many columns.
+# Past it the search returns the first valid solution among the
+# particular one and its kernel shifts, and the fewest-support
+# tie-break is not guaranteed.
 SUBSET_BUDGET = 200_000
 
 
@@ -110,9 +121,9 @@ def _combine(base: list[Fraction], kernel: list[list[Fraction]], weights: list[F
     return out
 
 
-def _support_vector_on(subset: tuple[int, ...], particular: list[Fraction], kernel: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solutions vanishing outside `subset`: a representative plus basis
-    directions of the remaining freedom, or None.
+def _support_vector_on(vanish: list[int], particular: list[Fraction], kernel: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """Solutions vanishing on the columns `vanish`: a representative plus
+    basis directions of the remaining freedom, or None.
 
     The representative settles support questions on its own, but a
     family can mix valid residual degrees with degrees below 1, and the
@@ -120,14 +131,9 @@ def _support_vector_on(subset: tuple[int, ...], particular: list[Fraction], kern
     member passes; the directions are its fallback candidates.
     """
     ncols = len(particular)
-    outside = [i for i in range(ncols) if i not in subset]
-    if not kernel:
-        if all(particular[i] == 0 for i in outside):
-            return particular, []
-        return None
     rows: list[list[Fraction]] = []
     pivots: dict[int, int] = {}
-    for i in outside:
+    for i in vanish:
         row = [vec[i] for vec in kernel] + [-particular[i]]
         if not _echelon_add(rows, pivots, row):
             return None
@@ -145,10 +151,16 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     the degree, one minimizing the residual degree is returned, with
     ties broken by fewest support monomials and then by the first
     solvable support subset in a fixed monomial enumeration (ascending
-    graded order, v-heavy first).  Residuals of degree below 1 are not
-    reductions: components of automorphisms are nonconstant, so a drop
-    to a constant means the target lies in the algebra generated by the
-    other two components and is reported as None.
+    graded order, v-heavy first).  Only supports over the kernel's
+    columns are enumerated, since every other column is fixed.
+    SUBSET_BUDGET bounds that enumeration for hostile inputs; past it
+    the result is still a minimal-degree reduction, but the
+    fewest-support tie-break is not guaranteed.
+
+    Residuals of degree below 1 are not reductions: components of
+    automorphisms are nonconstant, so a drop to a constant means the
+    target lies in the algebra generated by the other two components
+    and is reported as None.
     """
     if pmap.arity != 3:
         raise ValueError(f"reduction search expects three components, got {pmap.arity}")
@@ -209,44 +221,23 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         return None
     top_degree = max(by_degree)
 
-    def rows_for(degrees) -> list[list[Fraction]]:
-        out = []
-        for d in degrees:
-            for m in sorted(by_degree.get(d, ())):
-                out.append([p.coefficient(m) for p in products] + [f_target.coefficient(m)])
-        return out
+    def rows_for(level: int) -> list[list[Fraction]]:
+        return [[p.coefficient(m) for p in products] + [f_target.coefficient(m)]
+                for m in sorted(by_degree.get(level, ()))]
 
-    def eliminate(min_level: int) -> tuple[list[list[Fraction]], dict[int, int]] | None:
-        rows: list[list[Fraction]] = []
-        pivots: dict[int, int] = {}
-        for row in rows_for(range(min_level, top_degree + 1)):
-            if not _echelon_add(rows, pivots, row):
-                return None
-        return rows, pivots
-
-    base = eliminate(deg_target)
-    if base is None:
-        # Every drop leaves a residual whose top degrees vanish, so an
-        # inconsistent base system rules all of them out.
-        return None
-    rows, pivots = base
-
-    # Constrain further levels while the system stays solvable; when
-    # level L-1 fails, every remaining solution has residual degree
-    # exactly L-1, so the minimum is forced on whatever gets picked.
-    level = deg_target
-    while level > 2:
-        saved_rows = [list(r) for r in rows]
-        saved_pivots = dict(pivots)
-        ok = True
-        for row in rows_for([level - 1]):
-            if not _echelon_add(rows, pivots, row):
-                ok = False
-                break
-        if not ok:
-            rows, pivots = saved_rows, saved_pivots
+    # Constrain one level at a time from the top down and stop at the
+    # first inconsistent one.  The system through level L <= deg_target
+    # holds exactly the drops to residual degree below L, so an
+    # inconsistent level rules out every drop below it.  _echelon_add
+    # only appends rows, so each kept system is a prefix of `rows`.
+    rows: list[list[Fraction]] = []
+    pivots: dict[int, int] = {}
+    kept: list[int] = []
+    for level in range(top_degree, 1, -1):
+        if not all(_echelon_add(rows, pivots, row) for row in rows_for(level)):
             break
-        level -= 1
+        if level <= deg_target:
+            kept.append(len(rows))
 
     def build_result(solution: list[Fraction]) -> ReductionResult | None:
         g = Polynomial(2, {st: c for st, c in zip(support, solution) if c})
@@ -268,32 +259,33 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     def search_system(rows: list[list[Fraction]], pivots: dict[int, int]) -> ReductionResult | None:
         nonlocal budget
         particular, kernel = _solve_reduced(rows, pivots, ncols)
-        if not kernel:
-            return build_result(particular)
-        for size in range(1, ncols + 1):
-            for subset in combinations(range(ncols), size):
-                budget -= 1
-                if budget < 0:
-                    break
-                probe = _support_vector_on(subset, particular, kernel)
-                if probe is None:
-                    continue
-                solution, directions = probe
-                result = build_result(solution)
-                if result is None:
-                    # Only a residual of degree < 1 rejects a candidate.
-                    # Its low-degree coefficients are affine in the
-                    # remaining freedom and vanish at the representative,
-                    # so probing each basis direction either finds a
-                    # valid member or proves the family has none.
-                    for direction in directions:
-                        result = build_result([c + d for c, d in zip(solution, direction)])
-                        if result is not None:
-                            break
-                if result is not None:
-                    return result
-            if budget < 0:
+        # Columns that no kernel vector touches keep their particular
+        # value in every solution.  A support that drops a nonzero one
+        # is never solvable, and one that adds a zero one solves like
+        # the smaller support, so (size, lex) order over the kernel's
+        # columns visits the supports in the documented order.
+        free = [c for c in range(ncols) if any(vec[c] for vec in kernel)]
+        for keep in chain.from_iterable(combinations(free, size) for size in range(len(free) + 1)):
+            if budget <= 0:
                 break
+            budget -= 1
+            probe = _support_vector_on([c for c in free if c not in keep], particular, kernel)
+            if probe is None:
+                continue
+            solution, directions = probe
+            result = build_result(solution)
+            if result is None:
+                # Only a residual of degree < 1 rejects a candidate.
+                # Its low-degree coefficients are affine in the
+                # remaining freedom and vanish at the representative,
+                # so probing each basis direction either finds a
+                # valid member or proves the family has none.
+                for direction in directions:
+                    result = build_result([c + d for c, d in zip(solution, direction)])
+                    if result is not None:
+                        break
+            if result is not None:
+                return result
         else:
             return None
         # Budget exhausted: fall back to deterministic representatives.
@@ -308,16 +300,11 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     # a valid residual of degree d solves the (d+1)-level system, so the
     # first level whose family contains a valid member realizes the
     # minimal valid residual degree.
-    while True:
-        result = search_system(rows, pivots)
+    for end in reversed(kept):
+        result = search_system([list(r) for r in rows[:end]], {c: i for c, i in pivots.items() if i < end})
         if result is not None:
             return result
-        level += 1
-        if level > deg_target:
-            return None
-        rebuilt = eliminate(level)
-        assert rebuilt is not None  # weaker than an already consistent system
-        rows, pivots = rebuilt
+    return None
 
 
 def find_any_reduction(pmap: PolyMap, support_degree_cap: int | None = None) -> tuple[int, ReductionResult] | None:

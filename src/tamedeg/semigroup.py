@@ -42,36 +42,12 @@ def membership(l: int, a: int, b: int) -> tuple[int, int] | None:
 def frobenius(a: int, b: int) -> int:
     """Largest integer with no representation over coprime generators.
 
-    Found by scanning down from the cutoff (a-1)*(b-1), above which
-    every integer is a member.  Requires gcd(a, b) == 1 and a, b >= 2
-    (a generator equal to 1 leaves no gaps at all).
+    Sylvester's closed form a*b - a - b.  Requires gcd(a, b) == 1 and
+    a, b >= 2 (a generator equal to 1 leaves no gaps at all).
     """
     _validate_generators(a, b)
     if math.gcd(a, b) != 1:
         raise ValueError(f"frobenius number needs coprime generators, got ({a}, {b})")
     if a == 1 or b == 1:
         raise ValueError(f"the semigroup of ({a}, {b}) has no gaps")
-    for l in range((a - 1) * (b - 1) - 1, -1, -1):
-        if membership(l, a, b) is None:
-            return l
-    raise AssertionError("unreachable: 1 is never a member for a, b >= 2")
-
-
-def residue_classes_disjoint(d1: int, d2: int) -> bool:
-    """Whether the d1 shifted progressions d1*Z>=0 + k*d2, 0 <= k < d1,
-    are pairwise disjoint.  Holds exactly when gcd(d1, d2) == 1."""
-    _validate_generators(d1, d2)
-    return math.gcd(d1, d2) == 1
-
-
-def members_up_to(bound: int, a: int, b: int) -> list[int]:
-    """All members of the semigroup in [0, bound], ascending."""
-    _validate_generators(a, b)
-    if bound < 0:
-        return []
-    hits = [False] * (bound + 1)
-    for s in range(0, bound // a + 1):
-        base = s * a
-        for t in range(0, (bound - base) // b + 1):
-            hits[base + t * b] = True
-    return [l for l, hit in enumerate(hits) if hit]
+    return a * b - a - b

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from tamedeg import compose_word, decide, parse_map_file, parse_word_file, scan, scan_rows
+from tamedeg import cli
 from tamedeg.cli import main
 from tamedeg.parsing import format_map_file, format_polynomial
 from tamedeg.automorphisms import build_example_map, example_word, format_word_file
@@ -122,6 +123,16 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--max", "5")
         assert code == 1
         assert "TAME_MDEG_THREADS" in err
+
+    def test_worker_count_clamped_to_cores(self, monkeypatch):
+        # reads the setting only; no pool is started
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        for raw, workers in (("100000", 4), ("3", 3), ("0", 1), ("-5", 1)):
+            monkeypatch.setenv("TAME_MDEG_THREADS", raw)
+            assert cli._scan_workers() == workers
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("TAME_MDEG_THREADS", "8")
+        assert cli._scan_workers() == 1
 
 
 class TestBracket:

@@ -10,7 +10,6 @@ from tamedeg import (
     normalize_triple,
     scan,
     scan_rows,
-    type_iii_constraints,
 )
 from tamedeg.decision import KNOWN_INSTANCES, sorted_triples
 
@@ -123,26 +122,6 @@ class TestNormalize:
     def test_noninteger(self):
         with pytest.raises(ValueError):
             normalize_triple((2.5, 3, 4))
-
-
-class TestTypeIiiConstraints:
-    def test_family_one(self):
-        # n = 4: 4 < 5, 2*5 <= 12, d2 = 8, d3 = 12
-        assert type_iii_constraints((5, 8, 12)) == 4
-
-    def test_family_two(self):
-        # n = 4: 2*6 = 12, 20 < 22, 11 <= 12
-        assert type_iii_constraints((6, 8, 11)) == 4
-
-    def test_odd_middle_degree_excluded(self):
-        assert type_iii_constraints((3, 5, 7)) is None
-
-    def test_family_one_boundary(self):
-        # n < d1 fails at d1 = n
-        assert type_iii_constraints((4, 8, 12)) is None
-
-    def test_normalizes_input(self):
-        assert type_iii_constraints((12, 5, 8)) == 4
 
 
 class TestScan:

@@ -152,12 +152,6 @@ class TestLeadingForm:
             assert (p * q).leading_form() == p.leading_form() * q.leading_form()
             count += 1
 
-    def test_homogeneous_component(self):
-        p = x**2 + x * y**2 + 3
-        assert p.homogeneous_component(0) == Polynomial.constant(3, 3)
-        assert p.homogeneous_component(2) == x**2
-        assert p.homogeneous_component(5).is_zero
-
     def test_is_homogeneous(self):
         assert (x * y + z**2).is_homogeneous()
         assert not (x + y**2).is_homogeneous()
@@ -216,11 +210,6 @@ class TestCompose:
     def test_compose_arity_check(self):
         with pytest.raises(ValueError):
             x.compose([x, y])
-
-    def test_evaluate(self):
-        p = x**2 * y - z
-        assert p.evaluate([Fraction(2), Fraction(3), Fraction(1)]) == 11
-        assert p.evaluate([2, 3, 1]) == 11
 
 
 class TestDivideHomogeneous:

@@ -15,6 +15,7 @@ from tamedeg import (
     compose_word,
     find_any_reduction,
     find_elementary_reduction,
+    reduction,
     variables,
 )
 
@@ -143,6 +144,17 @@ class TestSelection:
         assert result.g == u**2 + u
         assert result.residual == -(x**2)
         assert result.residual_degree == 2
+
+    def test_budget_fallback_still_reduces(self, monkeypatch):
+        # with no probes allowed the search falls back to a
+        # representative, which need not have the fewest support
+        # monomials but must still be a reduction
+        monkeypatch.setattr(reduction, "SUBSET_BUDGET", 0)
+        pmap = PolyMap((x, y + x**2, z + x))
+        result = find_elementary_reduction(pmap, 1)
+        assert result is not None
+        assert result.residual == pmap.components[1] - result.g.compose([x, z + x])
+        assert result.residual_degree == 1
 
     def test_targets_tried_from_last_to_first(self):
         found = find_any_reduction(PolyMap((x, y + x**2, z + x**2)))

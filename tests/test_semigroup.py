@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from tamedeg import frobenius, members_up_to, membership, residue_classes_disjoint
+from tamedeg import frobenius, membership
 
 
 def brute_force_member(l: int, a: int, b: int) -> bool:
@@ -79,6 +79,17 @@ class TestFrobenius:
                 assert membership(f, a, b) is None
                 assert membership(f + 1, a, b) is not None
 
+    def test_gap_count_identity(self):
+        # coprime pairs have exactly (a-1)(b-1)/2 gaps, the largest of
+        # them the Frobenius number
+        for a in range(2, 11):
+            for b in range(a + 1, 11):
+                if math.gcd(a, b) != 1:
+                    continue
+                gaps = [l for l in range(a * b + 1) if not brute_force_member(l, a, b)]
+                assert len(gaps) == (a - 1) * (b - 1) // 2
+                assert max(gaps) == frobenius(a, b)
+
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             frobenius(4, 6)
@@ -86,36 +97,3 @@ class TestFrobenius:
     def test_unit_generator_rejected(self):
         with pytest.raises(ValueError):
             frobenius(1, 5)
-
-
-class TestResidueClasses:
-    def test_examples(self):
-        assert residue_classes_disjoint(3, 5)
-        assert not residue_classes_disjoint(4, 6)
-        assert residue_classes_disjoint(10, 23)
-
-    def test_matches_gcd(self):
-        rng = random.Random(53)
-        for _ in range(200):
-            a = rng.randint(1, 60)
-            b = rng.randint(1, 60)
-            assert residue_classes_disjoint(a, b) == (math.gcd(a, b) == 1)
-
-
-class TestMembersUpTo:
-    def test_consistent_with_membership(self):
-        members = set(members_up_to(60, 4, 7))
-        for l in range(61):
-            assert (l in members) == (membership(l, 4, 7) is not None)
-
-    def test_gap_count_identity(self):
-        # coprime pairs have exactly (a-1)(b-1)/2 gaps
-        for a in range(2, 11):
-            for b in range(a + 1, 11):
-                if math.gcd(a, b) != 1:
-                    continue
-                bound = a * b
-                members = set(members_up_to(bound, a, b))
-                gaps = [l for l in range(bound + 1) if l not in members]
-                assert len(gaps) == (a - 1) * (b - 1) // 2
-                assert max(gaps) == a * b - a - b
