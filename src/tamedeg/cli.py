@@ -2,7 +2,8 @@
 
 Subcommands: decide, scan, bracket, su-check, reduce, semigroup, mdeg,
 compose, verify-example.  Exit codes: 0 success, 1 domain error
-(precondition failure, failed verification), 2 usage or parse error.
+(precondition failure, failed verification, a result failing its own
+internal check), 2 usage or parse error.
 Results go to stdout, diagnostics to stderr, and identical invocations
 produce byte-identical output.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -326,8 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one per process serves
+    # every call of main.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.handler(parser, args)
@@ -342,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:  # a result failed its own recheck
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -22,6 +22,8 @@ NEG_INFINITY = float("-inf")
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _coerce(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
@@ -134,7 +136,7 @@ class Polynomial:
         return [(m, self._terms[m]) for m in sorted(self._terms, key=canonical_key)]
 
     def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._terms.get(tuple(monomial), Fraction(0))
+        return self._terms.get(tuple(monomial), _ZERO)
 
     def degree(self) -> int | float:
         """Total degree; NEG_INFINITY for the zero polynomial."""

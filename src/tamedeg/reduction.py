@@ -14,7 +14,10 @@ its degree-23 component, so the default cap is 2 * deg F_target.
 
 Within the capped support the problem is linear: one unknown
 coefficient per support monomial, one equation per monomial of the
-difference that must vanish.  Everything runs over exact rationals.
+difference that must vanish.  The coefficients are exact rationals,
+but the linear algebra runs over Python ints: each equation is scaled
+by the lcm of its denominators, elimination is fraction-free, and
+Fractions appear only when the solutions are read out.
 
 The rows go in one degree level at a time, from the top down, and the
 most constrained consistent system fixes the residual degree.  Its
@@ -29,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd, lcm
 
 from .polynomials import Monomial, Polynomial
 from .automorphisms import PolyMap
@@ -53,59 +57,94 @@ class ReductionResult:
     residual_degree: int
 
 
-def _echelon_add(rows: list[list[Fraction]], pivots: dict[int, int], new_row: list[Fraction]) -> bool:
+# An equation row is sparse: {column: nonzero int}.  Columns 0..ncols-1
+# hold the unknowns' coefficients and column ncols the right-hand side.
+Row = dict[int, int]
+
+
+def _integer_row(entries: dict[int, Fraction]) -> Row:
+    """The rational row `entries` times the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in entries.values()))
+    return {col: c.numerator * (scale // c.denominator) for col, c in entries.items() if c}
+
+
+def _primitive(row: Row) -> Row:
+    """row divided by its content, the gcd of its entries."""
+    content = gcd(*row.values())
+    return row if content <= 1 else {col: x // content for col, x in row.items()}
+
+
+def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
+    """a*row - b*pivot_row, zero at col, with a and b the pivot and the
+    entry at col divided by their gcd: a nonzero multiple of the row that
+    subtracting a rational multiple of pivot_row would give."""
+    pivot, value = pivot_row[col], row[col]
+    g = gcd(pivot, value)
+    a, b = pivot // g, value // g
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, y in pivot_row.items():
+        x = out.get(c, 0) - b * y
+        if x:
+            out[c] = x
+        else:  # b * y is nonzero, so x is 0 only where out[c] was set
+            del out[c]
+    return out
+
+
+def _echelon_add(rows: list[Row], pivots: dict[int, int], new_row: Row, ncols: int) -> bool:
     """Eliminate new_row against the current echelon rows and absorb it.
 
     Returns False when the row reduces to 0 = nonzero, i.e. the system
-    became inconsistent.  rows hold ncols coefficients plus the RHS.
-    Stored rows keep their first nonzero entry at their pivot column,
-    which the left-to-right scan preserves.
+    became inconsistent.  Elimination is fraction-free (see _eliminate),
+    so every row is a nonzero multiple of the row that rational
+    elimination would store: the pivots and the solution set are the
+    same.  The scan always takes the leftmost nonzero column, so an
+    absorbed row has its first nonzero entry at its pivot column; it is
+    stored divided by its content.
     """
-    width = len(new_row) - 1
-    for col in range(width):
-        value = new_row[col]
-        if not value:
-            continue
+    while new_row:
+        col = min(new_row)
+        if col == ncols:
+            return False
         pivot_row = pivots.get(col)
         if pivot_row is None:
-            rows.append(new_row)
+            rows.append(_primitive(new_row))
             pivots[col] = len(rows) - 1
             return True
-        row = rows[pivot_row]
-        scale = value / row[col]
-        for i in range(col, width + 1):
-            if row[i]:
-                new_row[i] -= scale * row[i]
-    return new_row[width] == 0
+        new_row = _eliminate(new_row, rows[pivot_row], col)
+    return True
 
 
-def _solve_reduced(rows: list[list[Fraction]], pivots: dict[int, int], ncols: int) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Particular solution (free variables zero) and kernel basis."""
-    # Reduce upwards so each pivot column appears in exactly one row.
+def _solve_reduced(rows: list[Row], pivots: dict[int, int], ncols: int) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Particular solution (free variables zero) and kernel basis.
+
+    Back-substitutes over the integers, clearing each pivot column from
+    the rows above it with _eliminate and keeping the rows primitive.
+    Replaces entries of `rows` but never mutates a row.  Each row ends
+    as a multiple of its row of the reduced row echelon form, which is
+    unique, so the Fractions read out as row[ncols] / row[col] and
+    -row[f] / row[col] are exactly those of rational Gauss-Jordan.
+    """
     order = sorted(pivots)
-    for pos, col in enumerate(order):
+    for pos in range(len(order) - 1, -1, -1):
+        col = order[pos]
         row = rows[pivots[col]]
-        inv = 1 / row[col]
-        for i in range(col, ncols + 1):
-            if row[i]:
-                row[i] *= inv
         for other_col in order[:pos]:
-            other = rows[pivots[other_col]]
-            factor = other[col]
-            if factor:
-                for i in range(col, ncols + 1):
-                    if row[i]:
-                        other[i] -= factor * row[i]
+            index = pivots[other_col]
+            if col in rows[index]:
+                rows[index] = _primitive(_eliminate(rows[index], row, col))
     particular = [Fraction(0)] * ncols
     for col in order:
-        particular[col] = rows[pivots[col]][ncols]
+        row = rows[pivots[col]]
+        particular[col] = Fraction(row.get(ncols, 0), row[col])
     free_cols = [c for c in range(ncols) if c not in pivots]
     kernel = []
     for f in free_cols:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for col in order:
-            vec[col] = -rows[pivots[col]][f]
+            row = rows[pivots[col]]
+            vec[col] = Fraction(-row.get(f, 0), row[col])
         kernel.append(vec)
     return particular, kernel
 
@@ -131,13 +170,15 @@ def _support_vector_on(vanish: list[int], particular: list[Fraction], kernel: li
     member passes; the directions are its fallback candidates.
     """
     ncols = len(particular)
-    rows: list[list[Fraction]] = []
+    width = len(kernel)
+    rows: list[Row] = []
     pivots: dict[int, int] = {}
     for i in vanish:
-        row = [vec[i] for vec in kernel] + [-particular[i]]
-        if not _echelon_add(rows, pivots, row):
+        entries = {col: vec[i] for col, vec in enumerate(kernel)}
+        entries[width] = -particular[i]
+        if not _echelon_add(rows, pivots, _integer_row(entries), width):
             return None
-    lam, lam_kernel = _solve_reduced(rows, pivots, len(kernel))
+    lam, lam_kernel = _solve_reduced(rows, pivots, width)
     solution = _combine(particular, kernel, lam)
     zero = [Fraction(0)] * ncols
     directions = [_combine(zero, kernel, lvec) for lvec in lam_kernel]
@@ -209,32 +250,33 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         powers_k.append(powers_k[-1] * components[k])
     products = [powers_j[s] * powers_k[t] for s, t in support]
 
-    # One equation per monomial; group them by total degree so levels
-    # can be constrained from the top down.
-    by_degree: dict[int, set[Monomial]] = {}
-    for poly in products + [f_target]:
-        for m in poly.terms():
+    # One equation per monomial, read off each product's terms once:
+    # column i holds products[i], column ncols the RHS f_target.  Group
+    # them by total degree so levels can be constrained from the top down.
+    by_degree: dict[int, dict[Monomial, dict[int, Fraction]]] = {}
+    for col, poly in enumerate(products + [f_target]):
+        for m, c in poly.terms().items():
             d = sum(m)
             if d >= 1:
-                by_degree.setdefault(d, set()).add(m)
+                by_degree.setdefault(d, {}).setdefault(m, {})[col] = c
     if not by_degree:
         return None
     top_degree = max(by_degree)
 
-    def rows_for(level: int) -> list[list[Fraction]]:
-        return [[p.coefficient(m) for p in products] + [f_target.coefficient(m)]
-                for m in sorted(by_degree.get(level, ()))]
+    def rows_for(level: int) -> list[Row]:
+        equations = by_degree.get(level, {})
+        return [_integer_row(equations[m]) for m in sorted(equations)]
 
     # Constrain one level at a time from the top down and stop at the
     # first inconsistent one.  The system through level L <= deg_target
     # holds exactly the drops to residual degree below L, so an
     # inconsistent level rules out every drop below it.  _echelon_add
     # only appends rows, so each kept system is a prefix of `rows`.
-    rows: list[list[Fraction]] = []
+    rows: list[Row] = []
     pivots: dict[int, int] = {}
     kept: list[int] = []
     for level in range(top_degree, 1, -1):
-        if not all(_echelon_add(rows, pivots, row) for row in rows_for(level)):
+        if not all(_echelon_add(rows, pivots, row, ncols) for row in rows_for(level)):
             break
         if level <= deg_target:
             kept.append(len(rows))
@@ -256,7 +298,7 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
 
     budget = SUBSET_BUDGET
 
-    def search_system(rows: list[list[Fraction]], pivots: dict[int, int]) -> ReductionResult | None:
+    def search_system(rows: list[Row], pivots: dict[int, int]) -> ReductionResult | None:
         nonlocal budget
         particular, kernel = _solve_reduced(rows, pivots, ncols)
         # Columns that no kernel vector touches keep their particular
@@ -301,7 +343,7 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     # first level whose family contains a valid member realizes the
     # minimal valid residual degree.
     for end in reversed(kept):
-        result = search_system([list(r) for r in rows[:end]], {c: i for c, i in pivots.items() if i < end})
+        result = search_system(rows[:end], {c: i for c, i in pivots.items() if i < end})
         if result is not None:
             return result
     return None

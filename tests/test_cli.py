@@ -279,6 +279,18 @@ class TestReduce:
         assert code == 1
         assert "error" in err
 
+    def test_failed_self_check_is_a_domain_error(self, capsys, tmp_path, monkeypatch):
+        # a recomposition that disagrees with the residual makes the
+        # reduction fail its own verification
+        from tamedeg import Polynomial
+        monkeypatch.setattr(Polynomial, "compose", lambda self, args: Polynomial.zero(3))
+        path = tmp_path / "map.txt"
+        path.write_text("vars: x, y, z\nx\ny + x^2\nz\n", encoding="utf-8")
+        code, out, err = run(capsys, "reduce", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal check failed: reduction failed its own verification\n"
+
 
 class TestSemigroup:
     def test_non_member(self, capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tamedeg import (
     ElementaryStep,
@@ -15,9 +17,11 @@ from tamedeg import (
     compose_word,
     find_any_reduction,
     find_elementary_reduction,
+    parse_map_file,
     reduction,
     variables,
 )
+from tamedeg.parsing import format_polynomial
 
 x, y, z = variables(3)
 u, v = variables(2)
@@ -278,3 +282,92 @@ class TestPeelableWords:
             if steps == 0:
                 continue
             assert find_any_reduction(PolyMap(components)) is not None
+
+
+def gauss_jordan(rows: list[list[Fraction]], ncols: int):
+    """Reference: plain rational Gauss-Jordan on augmented rows.  None when
+    inconsistent, else the particular solution with the free variables
+    zero and one kernel vector per free column, in column order."""
+    m = [list(row) for row in rows]
+    pivot_cols = []
+    for col in range(ncols):
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [value / m[r][col] for value in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivot_cols.append(col)
+    if any(row[ncols] for row in m[len(pivot_cols):]):
+        return None
+    particular = [Fraction(0)] * ncols
+    for i, col in enumerate(pivot_cols):
+        particular[col] = m[i][ncols]
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, col in enumerate(pivot_cols):
+            vec[col] = -m[i][free]
+        kernel.append(vec)
+    return particular, kernel
+
+
+def integer_solve(rows: list[list[Fraction]], ncols: int):
+    """The same system through the integer kernel of the reduction search."""
+    echelon, pivots = [], {}
+    for row in rows:
+        integer_row = reduction._integer_row(dict(enumerate(row)))
+        if not reduction._echelon_add(echelon, pivots, integer_row, ncols):
+            return None
+    return reduction._solve_reduced(echelon, pivots, ncols)
+
+
+@st.composite
+def rational_systems(draw):
+    """Augmented rows of a small rational system: consistent by
+    construction (b = A x0) or with a free right-hand side, sometimes
+    with a dependent row, and with small or large denominators."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 6))
+    top = draw(st.sampled_from((4, 10**12)))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, top)))
+    matrix = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                           min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in matrix]
+    else:
+        rhs = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    if draw(st.booleans()):
+        scale = draw(entry)
+        rows.append([scale * value for value in rows[0]])
+    return ncols, rows
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_systems())
+    @example((2, [[Fraction(1, 3), Fraction(2, 7), Fraction(5)],
+                  [Fraction(2, 3), Fraction(4, 7), Fraction(1)]]))  # inconsistent
+    @example((3, [[Fraction(1, 10**12), Fraction(0), Fraction(-7, 999999999989), Fraction(3, 8)]]))
+    def test_matches_rational_gauss_jordan(self, system):
+        ncols, rows = system
+        assert integer_solve(rows, ncols) == gauss_jordan(rows, ncols)
+
+    def test_rational_map_with_a_kernel(self):
+        # a map of the benchmark's reduce set: rational coefficients, and
+        # the top-level system leaves a two-dimensional kernel (the
+        # degree-1 columns u and v) for the support search to resolve
+        text = "vars: x, y, z\nx\n1/4*x*z^2 + 2*x^2 - y - 5/2*z\nz\n"
+        polys, names = parse_map_file(text)
+        result = find_elementary_reduction(PolyMap(tuple(polys)), 1)
+        assert format_polynomial(result.g, ("u", "v")) == "1/4*u*v^2 + 2*u^2"
+        assert format_polynomial(result.residual, names) == "-y - 5/2*z"
+        assert result.residual_degree == 1
