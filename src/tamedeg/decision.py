@@ -109,11 +109,7 @@ def decide(triple: Sequence[int]) -> Decision:
     if triple in KNOWN_INSTANCES:
         witness = None
         if triple == (10, 23, 25):
-            steps = automorphisms.example_word()
-            got = automorphisms.compose_word(steps).mdeg()
-            if got != triple:
-                raise AssertionError(f"catalogued word composes to mdeg {got}, wanted {triple}")
-            witness = tuple(steps)
+            witness = tuple(automorphisms._checked(automorphisms.example_word(), triple))
         return Decision(triple, TAME, KNOWN_INSTANCE, witness=witness)
 
     if _is_prime(d2) and d1 != 2 * math.gcd(d1, d3):
@@ -152,6 +148,9 @@ def scan(max_degree: int, workers: int | None = None) -> list[Decision]:
         raise ValueError(f"scan needs max_degree >= 3, got {max_degree!r}")
     triples = list(sorted_triples(max_degree))
     if workers is not None and workers > 1:
+        # The pool forks all its workers at the first submit; more
+        # than one per triple would sit idle.
+        workers = min(workers, len(triples))
         chunk = max(1, len(triples) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(decide, triples, chunksize=chunk))

@@ -89,6 +89,21 @@ class Polynomial:
         self._degree: int | float | None = None
         self._hash: int | None = None
 
+    @classmethod
+    def _from_clean(cls, arity: int, terms: dict[Monomial, Fraction], degree: int | float | None = None) -> Polynomial:
+        """A polynomial owning `terms`, skipping __init__'s validation.
+
+        Only for terms derived from valid polynomials: exponent tuples of
+        length `arity` and nonzero Fraction coefficients.  `degree` is
+        the total degree when the caller already knows it.
+        """
+        result = cls.__new__(cls)
+        result._arity = arity
+        result._terms = terms
+        result._degree = degree
+        result._hash = None
+        return result
+
     # ---- constructors ----
 
     @classmethod
@@ -154,7 +169,7 @@ class Polynomial:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading form")
         d = self.degree()
-        return Polynomial(self._arity, {m: c for m, c in self._terms.items() if sum(m) == d})
+        return Polynomial._from_clean(self._arity, {m: c for m, c in self._terms.items() if sum(m) == d}, d)
 
     # ---- arithmetic ----
 
@@ -175,22 +190,12 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        result = Polynomial.__new__(Polynomial)
-        result._arity = self._arity
-        result._terms = terms
-        result._degree = None
-        result._hash = None
-        return result
+        return Polynomial._from_clean(self._arity, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        result = Polynomial.__new__(Polynomial)
-        result._arity = self._arity
-        result._terms = {m: -c for m, c in self._terms.items()}
-        result._degree = self._degree
-        result._hash = None
-        return result
+        return Polynomial._from_clean(self._arity, {m: -c for m, c in self._terms.items()}, self._degree)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -207,12 +212,7 @@ class Polynomial:
             c = _coerce(other)
             if not c:
                 return Polynomial.zero(self._arity)
-            result = Polynomial.__new__(Polynomial)
-            result._arity = self._arity
-            result._terms = {m: c * v for m, v in self._terms.items()}
-            result._degree = self._degree
-            result._hash = None
-            return result
+            return Polynomial._from_clean(self._arity, {m: c * v for m, v in self._terms.items()}, self._degree)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_arity(other)
@@ -225,12 +225,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        result = Polynomial.__new__(Polynomial)
-        result._arity = self._arity
-        result._terms = terms
-        result._degree = None
-        result._hash = None
-        return result
+        return Polynomial._from_clean(self._arity, terms)
 
     __rmul__ = __mul__
 
@@ -253,13 +248,10 @@ class Polynomial:
         """Formal partial derivative with respect to variable `var` (0-based)."""
         if not 0 <= var < self._arity:
             raise ValueError(f"variable index {var} out of range for arity {self._arity}")
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            e = m[var]
-            if e:
-                lowered = m[:var] + (e - 1,) + m[var + 1:]
-                terms[lowered] = terms.get(lowered, Fraction(0)) + c * e
-        return Polynomial(self._arity, terms)
+        # Lowering one exponent is injective on the terms that have it,
+        # so each coefficient c * e stays separate and nonzero.
+        terms = {m[:var] + (m[var] - 1,) + m[var + 1:]: c * m[var] for m, c in self._terms.items() if m[var]}
+        return Polynomial._from_clean(self._arity, terms)
 
     def compose(self, args: Sequence[Polynomial]) -> Polynomial:
         """Substitute args[i] for variable i.  All args must share one arity."""

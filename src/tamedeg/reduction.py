@@ -24,7 +24,11 @@ most constrained consistent system fixes the residual degree.  Its
 solutions form a particular solution plus a kernel; columns that no
 kernel vector touches are the same in every solution, so the
 fewest-support tie-break enumerates supports over the kernel's own
-columns only.  SUBSET_BUDGET bounds that enumeration.
+columns only.  Each support is probed with one solve of the level's
+system plus a unit row for every column that must vanish.
+SUBSET_BUDGET bounds that enumeration; past it only the whole family,
+the last support in the order, is probed, and its candidates are the
+particular solution and its shifts by each kernel vector.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ from .automorphisms import PolyMap
 # tries.  The probes enumerate subsets of the kernel's columns, which
 # number a handful on word-generated maps; the bound only matters for
 # hostile maps such as (x, x^2, ...) whose kernels touch many columns.
-# Past it the search returns the first valid solution among the
-# particular one and its kernel shifts, and the fewest-support
-# tie-break is not guaranteed.
+# Past it each level probes only the whole family, whose candidates are
+# the particular solution and its kernel shifts, so the result is still
+# a minimal-degree reduction but the fewest-support tie-break is not
+# guaranteed.
 SUBSET_BUDGET = 200_000
 
 
@@ -149,40 +154,23 @@ def _solve_reduced(rows: list[Row], pivots: dict[int, int], ncols: int) -> tuple
     return particular, kernel
 
 
-def _combine(base: list[Fraction], kernel: list[list[Fraction]], weights: list[Fraction]) -> list[Fraction]:
-    out = list(base)
-    for j, coeff in enumerate(weights):
-        if coeff:
-            vec = kernel[j]
-            for i in range(len(out)):
-                if vec[i]:
-                    out[i] += coeff * vec[i]
-    return out
+def _solve_vanishing(rows: list[Row], pivots: dict[int, int], vanish: list[int], ncols: int) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """The solutions of the echelon system that vanish on the columns
+    `vanish`: its particular solution and kernel basis as _solve_reduced
+    gives them, or None when there are none.
 
-
-def _support_vector_on(vanish: list[int], particular: list[Fraction], kernel: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solutions vanishing on the columns `vanish`: a representative plus
-    basis directions of the remaining freedom, or None.
-
-    The representative settles support questions on its own, but a
-    family can mix valid residual degrees with degrees below 1, and the
-    caller's degree check may reject the representative while a shifted
-    member passes; the directions are its fallback candidates.
+    Adds a unit row {i: 1} per column to a copy of the system and solves
+    once; neither `rows` nor `pivots` changes.  The representative
+    settles support questions on its own, but a family can mix valid
+    residual degrees with degrees below 1, and the caller's degree check
+    may reject the representative while a shifted member passes; the
+    kernel vectors are its fallback directions.
     """
-    ncols = len(particular)
-    width = len(kernel)
-    rows: list[Row] = []
-    pivots: dict[int, int] = {}
+    rows, pivots = list(rows), dict(pivots)
     for i in vanish:
-        entries = {col: vec[i] for col, vec in enumerate(kernel)}
-        entries[width] = -particular[i]
-        if not _echelon_add(rows, pivots, _integer_row(entries), width):
+        if not _echelon_add(rows, pivots, {i: 1}, ncols):
             return None
-    lam, lam_kernel = _solve_reduced(rows, pivots, width)
-    solution = _combine(particular, kernel, lam)
-    zero = [Fraction(0)] * ncols
-    directions = [_combine(zero, kernel, lvec) for lvec in lam_kernel]
-    return solution, directions
+    return _solve_reduced(rows, pivots, ncols)
 
 
 def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: int | None = None) -> ReductionResult | None:
@@ -300,18 +288,21 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
 
     def search_system(rows: list[Row], pivots: dict[int, int]) -> ReductionResult | None:
         nonlocal budget
-        particular, kernel = _solve_reduced(rows, pivots, ncols)
+        # Back-substituting in place leaves the rows an echelon system
+        # of the same level, so the probes below start from it.
+        _, kernel = _solve_reduced(rows, pivots, ncols)
         # Columns that no kernel vector touches keep their particular
         # value in every solution.  A support that drops a nonzero one
         # is never solvable, and one that adds a zero one solves like
         # the smaller support, so (size, lex) order over the kernel's
-        # columns visits the supports in the documented order.
+        # columns visits the supports in the documented order.  The
+        # whole family comes last; past the budget it is the only probe.
         free = [c for c in range(ncols) if any(vec[c] for vec in kernel)]
         for keep in chain.from_iterable(combinations(free, size) for size in range(len(free) + 1)):
             if budget <= 0:
-                break
+                keep = tuple(free)
             budget -= 1
-            probe = _support_vector_on([c for c in free if c not in keep], particular, kernel)
+            probe = _solve_vanishing(rows, pivots, [c for c in free if c not in keep], ncols)
             if probe is None:
                 continue
             solution, directions = probe
@@ -326,14 +317,7 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
                     result = build_result([c + d for c, d in zip(solution, direction)])
                     if result is not None:
                         break
-            if result is not None:
-                return result
-        else:
-            return None
-        # Budget exhausted: fall back to deterministic representatives.
-        for solution in [particular] + [[p + v for p, v in zip(particular, vec)] for vec in kernel]:
-            result = build_result(solution)
-            if result is not None:
+            if result is not None or len(keep) == len(free):
                 return result
         return None
 

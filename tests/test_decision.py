@@ -7,6 +7,7 @@ import pytest
 from tamedeg import (
     compose_word,
     decide,
+    decision,
     normalize_triple,
     scan,
     scan_rows,
@@ -152,6 +153,30 @@ class TestScan:
 
     def test_worker_count_does_not_change_results(self):
         assert scan(8, workers=2) == scan(8)
+
+    def test_worker_count_clamped_to_triples(self, monkeypatch):
+        # the pool forks all of max_workers at its first submit, so a
+        # 10-triple scan must not ask for 64; the fake maps serially and
+        # starts no process
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(decision, "ProcessPoolExecutor", SerialPool)
+        assert scan(3, workers=64) == scan(3)
+        assert len(scan(3)) == 10
+        assert requested == [10]
 
     def test_max_degree_validation(self):
         with pytest.raises(ValueError):

@@ -160,6 +160,33 @@ class TestSelection:
         assert result.residual == pmap.components[1] - result.g.compose([x, z + x])
         assert result.residual_degree == 1
 
+    def test_budget_probes_only_the_whole_family(self, monkeypatch):
+        # map144 of the benchmark's reduce maps with MAP_SEED 8, at its
+        # third component: within the budget the search finds the
+        # fewest-support g; with three probes it jumps to the whole
+        # family, whose particular solution is a reduction of the same
+        # residual degree
+        text = (
+            "vars: x, y, z\n"
+            "3/2*y^2*z^2 - x + z\n"
+            "-3/4*y^4*z^4 + x*y^2*z^2 - y^2*z^3 + 3/8*y^2*z^2 - 1/3*x^2 + 2/3*x*z"
+            " - 1/3*z^2 - 1/4*x + y + 1/4*z\n"
+            "9/2*y^4*z^4 - 6*x*y^2*z^2 + 6*y^2*z^3 + 2*x^2 - 4*x*z + 3/4*y^2 + 2*z^2 - z\n"
+        )
+        polys, names = parse_map_file(text)
+        pmap = PolyMap(tuple(polys))
+        result = find_elementary_reduction(pmap, 2)
+        assert format_polynomial(result.g, ("u", "v")) == (
+            "1/12*u^4 - 1/8*u^3 + 1/2*u^2*v + 131/64*u^2 - 3/8*u*v + 3/4*v^2")
+        assert format_polynomial(result.residual, names) == "-z"
+        assert result.residual_degree == 1
+        monkeypatch.setattr(reduction, "SUBSET_BUDGET", 3)
+        result = find_elementary_reduction(pmap, 2)
+        assert format_polynomial(result.g, ("u", "v")) == (
+            "1/12*u^4 - 1/8*u^3 + 1/2*u^2*v - 3/8*u*v + 3/4*v^2 + 393/256*u - 393/64*v")
+        assert format_polynomial(result.residual, names) == "393/64*y - z"
+        assert result.residual_degree == 1
+
     def test_targets_tried_from_last_to_first(self):
         found = find_any_reduction(PolyMap((x, y + x**2, z + x**2)))
         assert found is not None
@@ -317,21 +344,23 @@ def gauss_jordan(rows: list[list[Fraction]], ncols: int):
     return particular, kernel
 
 
-def integer_solve(rows: list[list[Fraction]], ncols: int):
-    """The same system through the integer kernel of the reduction search."""
+def integer_solve(rows: list[list[Fraction]], ncols: int, vanish: list[int]):
+    """The same system through the integer kernel of the reduction search,
+    solved by its support probe with the columns `vanish` set to zero."""
     echelon, pivots = [], {}
     for row in rows:
         integer_row = reduction._integer_row(dict(enumerate(row)))
         if not reduction._echelon_add(echelon, pivots, integer_row, ncols):
             return None
-    return reduction._solve_reduced(echelon, pivots, ncols)
+    return reduction._solve_vanishing(echelon, pivots, vanish, ncols)
 
 
 @st.composite
 def rational_systems(draw):
     """Augmented rows of a small rational system: consistent by
     construction (b = A x0) or with a free right-hand side, sometimes
-    with a dependent row, and with small or large denominators."""
+    with a dependent row, and with small or large denominators; plus
+    the columns a support probe makes vanish."""
     ncols = draw(st.integers(1, 6))
     nrows = draw(st.integers(1, 6))
     top = draw(st.sampled_from((4, 10**12)))
@@ -348,18 +377,21 @@ def rational_systems(draw):
     if draw(st.booleans()):
         scale = draw(entry)
         rows.append([scale * value for value in rows[0]])
-    return ncols, rows
+    vanish = draw(st.lists(st.integers(0, ncols - 1), max_size=ncols, unique=True))
+    return ncols, rows, vanish
 
 
 class TestIntegerKernel:
     @settings(max_examples=300, deadline=None)
     @given(rational_systems())
     @example((2, [[Fraction(1, 3), Fraction(2, 7), Fraction(5)],
-                  [Fraction(2, 3), Fraction(4, 7), Fraction(1)]]))  # inconsistent
-    @example((3, [[Fraction(1, 10**12), Fraction(0), Fraction(-7, 999999999989), Fraction(3, 8)]]))
+                  [Fraction(2, 3), Fraction(4, 7), Fraction(1)]], []))  # inconsistent
+    @example((3, [[Fraction(1, 10**12), Fraction(0), Fraction(-7, 999999999989), Fraction(3, 8)]], []))
+    @example((2, [[Fraction(1), Fraction(1), Fraction(2)]], [1]))  # vanishing on a free column
     def test_matches_rational_gauss_jordan(self, system):
-        ncols, rows = system
-        assert integer_solve(rows, ncols) == gauss_jordan(rows, ncols)
+        ncols, rows, vanish = system
+        units = [[Fraction(int(c == i)) for c in range(ncols + 1)] for i in vanish]
+        assert integer_solve(rows, ncols, vanish) == gauss_jordan(rows + units, ncols)
 
     def test_rational_map_with_a_kernel(self):
         # a map of the benchmark's reduce set: rational coefficients, and
