@@ -85,8 +85,13 @@ def decide(triple: Sequence[int]) -> Decision:
     """Decision for a sorted triple d1 <= d2 <= d3; first rule wins.
 
     Raises on unsorted input; use normalize_triple first.  Every Tame
-    answer through SemigroupMember or EqualFirstPair carries a witness
-    word already verified to compose to the right multidegree.
+    answer through SemigroupMember or EqualFirstPair, and d1 = 1 and
+    (10, 23, 25), carries a witness word already verified to have the
+    right multidegree (automorphisms._checked).  The check reads the
+    multidegree off the leading forms of the steps, which takes
+    O(log d3) polynomial products for SemigroupMember and d1 = 1
+    words.  Where a top form cancels, as in every EqualFirstPair word
+    and in the (10, 23, 25) word, it composes the word in full instead.
     """
     d1, d2, d3 = triple
     if normalize_triple(triple) != (d1, d2, d3):

@@ -6,11 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tamedeg import (
     ElementaryStep,
     PermutationStep,
     PolyMap,
+    Polynomial,
+    automorphisms,
     build_example_map,
     compose_word,
     example_word,
@@ -26,6 +30,41 @@ from tamedeg import (
 from tamedeg.parsing import ParseError
 
 x, y, z = variables(3)
+
+SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4))
+
+
+@st.composite
+def tame_words(draw):
+    """Words of one to four moves over (x, y, z).
+
+    A move is a permutation, an elementary step with a rational scalar
+    and a shift of at most two terms (possibly zero), the inverse of the
+    previous step (its top form cancels the one that step added), or
+    three steps after which (x_k - x_j) vanishes at the leading forms.
+    """
+    v = (x, y, z)
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        move = draw(st.sampled_from(("perm", "elem", "inverse", "cancel")))
+        i, j, k = draw(st.permutations(range(3)))
+        scalar = draw(st.sampled_from(SCALARS))
+        if move == "perm":
+            word.append(PermutationStep((i, j, k)))
+        elif move == "inverse" and word:
+            word.append(word[-1].inverse())
+        elif move == "cancel":
+            # deg F_j = 2 deg F_k, so F_k + F_j leads with F_j's form
+            word.append(ElementaryStep(j, Fraction(1), v[k] ** 2))
+            word.append(ElementaryStep(k, Fraction(1), v[j]))
+            word.append(ElementaryStep(i, scalar, v[j] * (v[k] - v[j]) ** draw(st.integers(1, 2))))
+        else:
+            exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(SCALARS))
+            shift = Polynomial.zero(3)
+            for a, b, c in draw(st.lists(exponents, max_size=2)):
+                shift = shift + c * v[j] ** a * v[k] ** b
+            word.append(ElementaryStep(i, scalar, shift))
+    return word
 
 
 class TestSteps:
@@ -194,6 +233,32 @@ class TestWitnesses:
                             continue
                         word = witness_semigroup(d1, d2, (s, t))
                         assert compose_word(word).mdeg() == (d1, d2, s * d1 + t * d2)
+
+
+class TestLeadingFormCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(word=tame_words(), certified=st.none())
+    @example(word=witness_equal_pair(5, 7), certified=False)
+    @example(word=example_word(), certified=False)
+    @example(word=witness_semigroup(3, 5, (2, 1)), certified=True)
+    @example(word=witness_linear_first(4, 9), certified=True)
+    def test_certificate_is_empty_or_exact(self, word, certified):
+        got = automorphisms._leading_mdeg(word)
+        assert got is None or got == compose_word(word).mdeg()
+        if certified is not None:
+            assert (got is not None) == certified
+
+    def test_checked_rejects_wrong_mdeg_when_certified(self):
+        word = witness_semigroup(3, 5, (2, 1))
+        assert automorphisms._leading_mdeg(word) == (3, 5, 11)
+        with pytest.raises(AssertionError, match="witness failed verification"):
+            automorphisms._checked(word, (3, 5, 12))
+
+    def test_checked_rejects_wrong_mdeg_on_fallback(self):
+        word = witness_equal_pair(5, 7)
+        assert automorphisms._leading_mdeg(word) is None
+        with pytest.raises(AssertionError, match="witness failed verification"):
+            automorphisms._checked(word, (5, 5, 8))
 
 
 class TestExampleMap:

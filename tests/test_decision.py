@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from tamedeg import (
+    automorphisms,
     compose_word,
     decide,
     decision,
     normalize_triple,
     scan,
     scan_rows,
+    variables,
 )
 from tamedeg.decision import KNOWN_INSTANCES, sorted_triples
 
@@ -105,6 +107,37 @@ class TestDecide:
         assert d.reason == "SemigroupMember"
         assert d.representation == (2, 0)
         assert_witness_realizes(d)
+
+
+class TestLargeTail:
+    """SemigroupMember and d1 = 1 witnesses are checked from leading
+    forms, so a huge d3 costs O(log d3) products and no composition."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_composition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compose_word must not run for this witness")
+
+        monkeypatch.setattr(automorphisms, "compose_word", refuse)
+
+    @pytest.mark.parametrize("triple, representation", [
+        ((3, 5, 10**6), (333330, 2)),
+        ((7, 11, 10**12), (142857142854, 2)),
+    ])
+    def test_semigroup_member(self, triple, representation):
+        d1, d2, d3 = triple
+        d = decide(triple)
+        assert (d.verdict, d.reason, d.representation) == ("Tame", "SemigroupMember", representation)
+        s, t = representation
+        assert s * d1 + t * d2 == d3
+        x, y, z = variables(3)
+        assert [step.shift for step in d.witness] == [z**d1, z**d2, x**s * y**t]
+
+    def test_linear_first(self):
+        d = decide((1, 4, 10**9))
+        assert (d.verdict, d.reason, d.representation) == ("Tame", "TrivialSmallDegree", None)
+        x, _, _ = variables(3)
+        assert [step.shift for step in d.witness] == [x**4, x**10**9]
 
 
 class TestNormalize:
