@@ -66,18 +66,40 @@ def normalize_triple(values: Sequence[int]) -> tuple[int, int, int]:
     return (a, b, c)
 
 
+# Sorenson and Webster (Math. Comp. 86, 2017, 985-1003): strong
+# probable-prime tests to the first 13 prime bases decide primality
+# exactly below this bound.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < _PRIME_BOUND.
+
+    Raises ValueError at or above the bound, where no fixed set of bases
+    is proved to decide primality.
+    """
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality of {n} is decided exactly only below {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -92,6 +114,9 @@ def decide(triple: Sequence[int]) -> Decision:
     O(log d3) polynomial products for SemigroupMember and d1 = 1
     words.  Where a top form cancels, as in every EqualFirstPair word
     and in the (10, 23, 25) word, it composes the word in full instead.
+    The exclusion rules test d2 and d3 for primality once each, with
+    the deterministic Miller-Rabin test of _is_prime; a degree at or
+    above its bound raises ValueError when these rules reach it.
     """
     d1, d2, d3 = triple
     if normalize_triple(triple) != (d1, d2, d3):
@@ -117,18 +142,20 @@ def decide(triple: Sequence[int]) -> Decision:
             witness = tuple(automorphisms._checked(automorphisms.example_word(), triple))
         return Decision(triple, TAME, KNOWN_INSTANCE, witness=witness)
 
-    if _is_prime(d2) and d1 != 2 * math.gcd(d1, d3):
+    d2_prime = _is_prime(d2)
+    if d2_prime and d1 != 2 * math.gcd(d1, d3):
         return Decision(triple, NOT_TAME, THEOREM3_EXCLUSION)
 
-    if _is_prime(d3) and math.gcd(d1, d2) == 1:
+    d3_prime = _is_prime(d3)
+    if d3_prime and math.gcd(d1, d2) == 1:
         return Decision(triple, NOT_TAME, THEOREM4_EXCLUSION)
 
     failed = []
-    if not _is_prime(d2):
+    if not d2_prime:
         failed.append(f"Theorem3Exclusion needs a prime d2; {d2} is composite")
     if d1 == 2 * math.gcd(d1, d3):
         failed.append(f"Theorem3Exclusion needs d1/gcd(d1, d3) != 2; {d1}/{math.gcd(d1, d3)} = 2")
-    if not _is_prime(d3):
+    if not d3_prime:
         failed.append(f"Theorem4Exclusion needs a prime d3; {d3} is composite")
     if math.gcd(d1, d2) != 1:
         failed.append(f"Theorem4Exclusion needs gcd(d1, d2) = 1; gcd({d1}, {d2}) = {math.gcd(d1, d2)}")

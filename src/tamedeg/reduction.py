@@ -8,9 +8,19 @@ every g supported on monomials u^s v^t with
     s * deg F_j + t * deg F_k <= support_degree_cap,
 
 which is exactly the set of products F_j^s F_k^t whose composed degree
-stays within the cap.  Cancellation-aware caps matter: the known
-degree-(10,23,25) map needs a u^5 term of composed degree 50 to reduce
-its degree-23 component, so the default cap is 2 * deg F_target.
+stays within the cap.  The default cap is 2 * deg F_target.
+
+The cap only matters when the leading forms of F_j and F_k are
+algebraically dependent.  When they are independent, the top weighted
+part of g evaluated at the leading forms is never zero, so
+deg g(F_j, F_k) is the weighted degree of g (Shestakov-Umirbaev, J.
+Amer. Math. Soc. 17, 2004): no top form cancels, and a drop uses only
+monomials of weighted degree <= deg F_target.  The search then trims
+the cap, default or explicit, to deg F_target; the trimmed columns are
+zero in every solution, so the answer is the same.  Dependent leading
+forms can cancel above deg F_target: the degree-(10, 23, 25) map needs
+a u^5 term of composed degree 50 = lcm(10, 25) to reduce its degree-23
+component, above the default cap of 46, so verify.py passes cap 50.
 
 Within the capped support the problem is linear: one unknown
 coefficient per support monomial, one equation per monomial of the
@@ -38,6 +48,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
 
+from . import poisson
 from .polynomials import Monomial, Polynomial
 from .automorphisms import PolyMap
 
@@ -186,6 +197,12 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     the result is still a minimal-degree reduction, but the
     fewest-support tie-break is not guaranteed.
 
+    The cap defaults to 2 * deg F_target and may not lie below
+    deg F_target.  When the leading forms of the two other components
+    are algebraically independent, deg g(F_j, F_k) is the weighted
+    degree of g, so the cap is trimmed to deg F_target: every monomial
+    above it is zero in every solution, and the result is the same.
+
     Residuals of degree below 1 are not reductions: components of
     automorphisms are nonconstant, so a drop to a constant means the
     target lies in the algebra generated by the other two components
@@ -214,6 +231,10 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         support_degree_cap = 2 * deg_target
     if support_degree_cap < deg_target:
         raise ValueError(f"support cap {support_degree_cap} is below the target degree {deg_target}")
+    if not poisson.algebraically_dependent(components[j].leading_form(), components[k].leading_form()):
+        # No top form of g(F_j, F_k) cancels, so a support monomial of
+        # weighted degree above deg F_target can only raise the degree.
+        support_degree_cap = deg_target
 
     # Support monomials in a fixed enumeration; (0,0) is omitted since a
     # constant term never changes any degree >= 1 coefficient.

@@ -73,6 +73,15 @@ class TestDecide:
         assert code == 1
         assert "positive" in err
 
+    def test_degree_beyond_the_primality_bound_is_a_domain_error(self, capsys, time_limit):
+        # 4N + 6N holds no odd number, so the exclusion rules test d3
+        bound = str(3_317_044_064_679_887_385_961_981)
+        with time_limit(5):
+            code, out, err = run(capsys, "decide", "4", "6", bound)
+        assert code == 1
+        assert out == ""
+        assert bound in err
+
     def test_missing_argument_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "decide", "3", "5")
         assert code == 2
@@ -268,6 +277,20 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", str(path), "--target", "4")
         assert code == 1
         assert "target" in err
+
+    @pytest.mark.parametrize("cap", ["300", "1000000"])
+    def test_large_cap_on_independent_leading_forms(self, capsys, tmp_path, time_limit, cap):
+        # y and z are independent leading forms, so the support stops at
+        # deg(x + y*z) = 2 whatever the cap
+        path = tmp_path / "map.txt"
+        path.write_text("vars: x, y, z\nx + y*z\ny\nz\n", encoding="utf-8")
+        with time_limit(10):
+            code, out, _ = run(capsys, "reduce", str(path), "--target", "1", "--cap", cap)
+        assert code == 0
+        assert json.loads(out) == {
+            "found": True, "target": 1, "g": "u*v",
+            "residual": "x", "residual_degree": 1,
+        }
 
     def test_cap_below_target_degree(self, capsys, tmp_path):
         path = self.triangular_file(tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import sympy
 
 from tamedeg import (
     automorphisms,
@@ -138,6 +139,44 @@ class TestLargeTail:
         assert (d.verdict, d.reason, d.representation) == ("Tame", "TrivialSmallDegree", None)
         x, _, _ = variables(3)
         assert [step.shift for step in d.witness] == [x**4, x**10**9]
+
+
+class TestPrimality:
+    def test_matches_sympy(self):
+        ours = [n for n in range(1, 20_001) if decision._is_prime(n)]
+        assert ours == [n for n in range(1, 20_001) if sympy.isprime(n)]
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n, time_limit):
+        # strong pseudoprimes to the prime bases up to 7 and up to 23
+        with time_limit(5):
+            assert not decision._is_prime(n)
+
+    def test_exact_up_to_the_bound(self):
+        bound = decision._PRIME_BOUND
+        for n in range(bound - 200, bound):
+            assert decision._is_prime(n) == sympy.isprime(n)
+        with pytest.raises(ValueError, match=str(bound)):
+            decision._is_prime(bound)
+
+    @pytest.mark.parametrize("start", [10**12, 10**16, 10**18])
+    def test_large_prime_tail(self, start, time_limit):
+        p = sympy.nextprime(start)
+        with time_limit(5):
+            d = decide((4, 6, p))
+        assert (d.verdict, d.reason) == ("Unknown", "HypothesesFail")
+        assert d.failed_hypotheses == (
+            "Theorem3Exclusion needs a prime d2; 6 is composite",
+            "Theorem4Exclusion needs gcd(d1, d2) = 1; gcd(4, 6) = 2",
+        )
+
+    def test_each_degree_tested_once(self, monkeypatch):
+        tested = []
+        is_prime = decision._is_prime
+        monkeypatch.setattr(decision, "_is_prime", lambda n: tested.append(n) or is_prime(n))
+        d = decide((4, 6, 3215031751))
+        assert "Theorem4Exclusion needs a prime d3; 3215031751 is composite" in d.failed_hypotheses
+        assert tested == [6, 3215031751]
 
 
 class TestNormalize:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tamedeg import (
@@ -18,6 +19,7 @@ from tamedeg import (
     find_any_reduction,
     find_elementary_reduction,
     parse_map_file,
+    poisson,
     reduction,
     variables,
 )
@@ -92,7 +94,10 @@ class TestGoldenCases:
 
     def test_example_needs_the_cancellation_cap(self, example_map):
         # the u^5 term has composed degree 50, above the default cap of
-        # 2 * 23; the search must honor the explicit cap
+        # 2 * 23; the leading forms of f1 and f3 are dependent, so the
+        # search must honor the explicit cap rather than trim it
+        f1, _, f3 = example_map.components
+        assert poisson.algebraically_dependent(f1.leading_form(), f3.leading_form())
         assert find_elementary_reduction(example_map, 1, 46) is None
 
     def test_triangular_composition(self):
@@ -403,3 +408,68 @@ class TestIntegerKernel:
         assert format_polynomial(result.g, ("u", "v")) == "1/4*u*v^2 + 2*u^2"
         assert format_polynomial(result.residual, names) == "-y - 5/2*z"
         assert result.residual_degree == 1
+
+
+small_coefficients = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 3))
+
+
+@st.composite
+def random_maps(draw):
+    """Three nonconstant, pairwise distinct polynomials of 1-3 terms with
+    exponents <= 2; mostly not automorphisms."""
+    exponents = st.tuples(*[st.integers(0, 2)] * 3)
+    terms = st.dictionaries(exponents, small_coefficients, min_size=1, max_size=3)
+    components = draw(st.lists(terms.map(lambda t: Polynomial(3, t)).filter(lambda p: p.degree() >= 1),
+                                min_size=3, max_size=3, unique=True))
+    return PolyMap(tuple(components))
+
+
+@st.composite
+def word_maps(draw):
+    """Automorphisms of 1-3 elementary steps, each adding 1-3 monomials
+    with exponents <= 2 in the two other components; degrees <= 12."""
+    components = list(variables(3))
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, 2))
+        j, k = (i for i in range(3) if i != index)
+        exponents = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+        shift = draw(st.dictionaries(exponents, small_coefficients, min_size=1, max_size=3))
+        for (a, b), coeff in shift.items():
+            components[index] = components[index] + coeff * components[j]**a * components[k]**b
+    assume(max(p.degree() for p in components) <= 12)
+    assume(len(set(components)) == 3)
+    return PolyMap(tuple(components))
+
+
+def answer(pmap: PolyMap, target: int, cap: int | None):
+    try:
+        return find_elementary_reduction(pmap, target, cap)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCapTrim:
+    """Independent leading forms of the other two components trim the
+    support to deg F_target; the trimmed columns are zero in every
+    solution, so the answers equal those of the full capped support."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(word_maps(), random_maps()), st.integers(1, 6))
+    @example(PolyMap((x + y * z, y, z)), 1)
+    @example(PolyMap((x, y + x**2, z + x)), 3)
+    def test_same_answer_as_the_untrimmed_support(self, pmap, extra):
+        for target in range(3):
+            cap = 2 * pmap.components[target].degree() + extra
+            trimmed = [answer(pmap, target, None), answer(pmap, target, cap)]
+            with mock.patch.object(poisson, "algebraically_dependent", lambda f, g: True):
+                untrimmed = [answer(pmap, target, None), answer(pmap, target, cap)]
+            assert trimmed == untrimmed
+
+    def test_dependent_leading_forms_keep_the_cap(self):
+        # x^2 + y and x^2 have dependent leading forms; u^2 - u*v has
+        # weighted degree 4 > 3 but composes to x^2*y + y^2
+        pmap = PolyMap((x**2 + y, x**2, x**2 * y + y**2 + z))
+        result = find_elementary_reduction(pmap, 2)
+        assert result.g == u**2 - u * v
+        assert result.residual == z
+        assert find_elementary_reduction(pmap, 2, 3) is None
