@@ -11,7 +11,10 @@ Multiplication may be implicit: a factor followed directly by a
 variable name or an unsigned number is a product, so `3xy^3` means
 `3*x*y^3`.  Implicit multiplication never consumes a sign, so `x - 2`
 is always a subtraction while `x * -2` negates.  Exponents apply to
-variables only, and there are no parentheses.
+variables only, and there are no parentheses, so every term is a
+single monomial.  Digits and names are ASCII (`0-9`; names match
+`[A-Za-z_][A-Za-z0-9_]*`); any other character, such as `²` or `٣`, is
+a parse error.  Parsing takes time linear in the length of the text.
 
 The printer emits the canonical form: terms in descending total degree
 with ties in ascending lexicographic order of the exponent tuple,
@@ -35,11 +38,12 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import Monomial, Polynomial, canonical_key
+from .polynomials import Monomial, Polynomial, Scalar
 
 MAX_EXPONENT = 10 ** 6
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_IDENTIFIER + r"\Z")
 
 
 class ParseError(ValueError):
@@ -72,158 +76,105 @@ def validate_names(names: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-# ---- lexer ----
+# ---- scanner and parser ----
 
-_TOKEN_OPS = "+-*/^"
+def _tokens(text: str, names: Sequence[str], line: int) -> list[tuple[str, object, int]]:
+    """(kind, value, column) for each token of `text`, then an end token.
 
-
-class _Token:
-    __slots__ = ("kind", "value", "column")
-
-    def __init__(self, kind: str, value, column: int):
-        self.kind = kind  # 'num', 'name', one of +-*/^, or 'end'
-        self.value = value
-        self.column = column
-
-
-def _lex(text: str, names: Sequence[str], line: int) -> list[_Token]:
+    The kinds are 'num' (an int), 'name', one of +-*/^, and 'end'.  The
+    whole text is scanned before parsing, so a stray character or an
+    unknown name is reported ahead of any syntax error.
+    """
     # Longest declared name wins, so a declared `xy` beats `x` at the
     # same position.
-    by_length = sorted(names, key=len, reverse=True)
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", int(text[i:j]), col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            for name in by_length:
-                if text.startswith(name, i):
-                    tokens.append(_Token("name", name, col))
-                    i += len(name)
-                    break
-            else:
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                raise ParseError(f"unknown variable {text[i:j]!r}", line, col)
-            continue
-        if ch in _TOKEN_OPS:
-            tokens.append(_Token(ch, ch, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, n + 1))
+    declared = "|".join(re.escape(name) for name in sorted(names, key=len, reverse=True))
+    scanner = re.compile(rf"\s*(?:([0-9]+)|({declared})|([-+*/^])|({_IDENTIFIER})|(\S))")
+    tokens: list[tuple[str, object, int]] = []
+    for match in scanner.finditer(text):
+        group = match.lastindex
+        lexeme = match[group]
+        column = match.start(group) + 1
+        if group == 1:
+            try:
+                tokens.append(("num", int(lexeme), column))
+            except ValueError:  # beyond the interpreter's int() digit limit
+                raise ParseError(f"number of {len(lexeme)} digits is too long", line, column) from None
+        elif group == 2:
+            tokens.append(("name", lexeme, column))
+        elif group == 3:
+            tokens.append((lexeme, lexeme, column))
+        elif group == 4:
+            raise ParseError(f"unknown variable {lexeme!r}", line, column)
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}", line, column)
+    tokens.append(("end", None, len(text) + 1))
     return tokens
-
-
-# ---- parser ----
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], names: Sequence[str], line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.index = {name: i for i, name in enumerate(names)}
-        self.arity = len(names)
-        self.line = line
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, self.line, tok.column)
-
-    def parse_expr(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind in "+-":
-            if self.advance().kind == "-":
-                sign = -1
-        result = self.parse_term() * sign
-        while self.peek().kind in "+-":
-            op = self.advance().kind
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected {tok.value!r}")
-        return result
-
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-                result = result * self.parse_factor()
-            elif tok.kind in ("name", "num"):
-                # implicit multiplication, e.g. 3xy^3
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> Polynomial:
-        tok = self.advance()
-        if tok.kind in "+-":
-            # Signed factor, so `3 * -2` and `x - -2` parse; implicit
-            # multiplication never consumes a sign, keeping `x - 2`
-            # a subtraction.
-            inner = self.parse_factor()
-            return -inner if tok.kind == "-" else inner
-        if tok.kind == "num":
-            value = Fraction(tok.value)
-            if self.peek().kind == "/":
-                self.advance()
-                denom_tok = self.advance()
-                if denom_tok.kind != "num":
-                    self.fail("expected a denominator after '/'", denom_tok)
-                if denom_tok.value == 0:
-                    self.fail("zero denominator", denom_tok)
-                value = Fraction(tok.value, denom_tok.value)
-            if self.peek().kind == "^":
-                self.fail("exponents apply to variables only", self.peek())
-            return Polynomial.constant(value, self.arity)
-        if tok.kind == "name":
-            exponent = 1
-            if self.peek().kind == "^":
-                self.advance()
-                exp_tok = self.advance()
-                if exp_tok.kind != "num":
-                    self.fail("expected a natural number after '^'", exp_tok)
-                exponent = exp_tok.value
-                if exponent > MAX_EXPONENT:
-                    self.fail(f"exponent {exponent} exceeds the supported bound {MAX_EXPONENT}", exp_tok)
-            exps = [0] * self.arity
-            exps[self.index[tok.value]] = exponent
-            return Polynomial(self.arity, {tuple(exps): 1})
-        if tok.kind == "end":
-            self.fail("unexpected end of input", tok)
-        self.fail(f"unexpected {tok.value!r}", tok)
 
 
 def parse_polynomial(text: str, names: Sequence[str], line: int = 1) -> Polynomial:
     """Parse one polynomial over the declared variable names.
 
     `line` seeds error positions when the text comes from a larger file.
+    Each term is one monomial, so the parser keeps a coefficient and an
+    exponent list per term and builds a single Polynomial at the end,
+    whose constructor merges repeated monomials: linear in the text.
     """
     names = validate_names(names)
-    parser = _Parser(_lex(text, names, line), names, line)
-    return parser.parse_expr()
+    index = {name: i for i, name in enumerate(names)}
+    tokens = _tokens(text, names, line)
+    terms: list[tuple[Monomial, Scalar]] = []
+    pos = 0
+    while True:
+        # One term: factors joined by '*' or juxtaposition.  Its leading
+        # signs, the expression's `+`/`-` among them, are signed factors.
+        coeff: Scalar = 1
+        exps = [0] * len(names)
+        while True:
+            kind, value, column = tokens[pos]
+            pos += 1
+            if kind == "+" or kind == "-":
+                if kind == "-":
+                    coeff = -coeff
+                continue
+            if kind == "num":
+                if tokens[pos][0] == "/":
+                    kind, denominator, column = tokens[pos + 1]
+                    if kind != "num":
+                        raise ParseError("expected a denominator after '/'", line, column)
+                    if denominator == 0:
+                        raise ParseError("zero denominator", line, column)
+                    value = Fraction(value, denominator)
+                    pos += 2
+                if tokens[pos][0] == "^":
+                    raise ParseError("exponents apply to variables only", line, tokens[pos][2])
+                coeff *= value
+            elif kind == "name":
+                exponent = 1
+                if tokens[pos][0] == "^":
+                    kind, exponent, column = tokens[pos + 1]
+                    if kind != "num":
+                        raise ParseError("expected a natural number after '^'", line, column)
+                    if exponent > MAX_EXPONENT:
+                        raise ParseError(f"exponent {exponent} exceeds the supported bound {MAX_EXPONENT}", line, column)
+                    pos += 2
+                exps[index[value]] += exponent
+            elif kind == "end":
+                raise ParseError("unexpected end of input", line, column)
+            else:
+                raise ParseError(f"unexpected {value!r}", line, column)
+            # Implicit multiplication never consumes a sign, so `x - 2`
+            # ends the term at the '-'.
+            kind = tokens[pos][0]
+            if kind == "*":
+                pos += 1
+            elif kind != "name" and kind != "num":
+                break
+        terms.append((tuple(exps), coeff))
+        kind, value, column = tokens[pos]
+        if kind == "end":
+            return Polynomial(len(names), terms)
+        if kind != "+" and kind != "-":
+            raise ParseError(f"unexpected {value!r}", line, column)
 
 
 # ---- printer ----

@@ -62,6 +62,17 @@ from .automorphisms import PolyMap
 # guaranteed.
 SUBSET_BUDGET = 200_000
 
+# Upper bound on the support monomials, the columns of the linear
+# system.  Only dependent leading forms keep a cap above deg F_target,
+# and there the columns grow with the square of the cap: 2,000 columns
+# take about a second on (x, x^2 + y, z + x^3), and the cost grows
+# faster than the column count.  Word maps need at most a few hundred.
+MAX_SUPPORT_COLUMNS = 2_000
+
+
+class _SupportTooLarge(ValueError):
+    """The capped support has more than MAX_SUPPORT_COLUMNS monomials."""
+
 
 @dataclass(frozen=True)
 class ReductionResult:
@@ -202,6 +213,8 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     are algebraically independent, deg g(F_j, F_k) is the weighted
     degree of g, so the cap is trimmed to deg F_target: every monomial
     above it is zero in every solution, and the result is the same.
+    A capped support of more than MAX_SUPPORT_COLUMNS monomials raises
+    ValueError.
 
     Residuals of degree below 1 are not reductions: components of
     automorphisms are nonconstant, so a drop to a constant means the
@@ -237,15 +250,18 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         support_degree_cap = deg_target
 
     # Support monomials in a fixed enumeration; (0,0) is omitted since a
-    # constant term never changes any degree >= 1 coefficient.
+    # constant term never changes any degree >= 1 coefficient.  Each
+    # exponent s is counted before its monomials are built, and every s
+    # adds at least one, so a huge cap stops after MAX_SUPPORT_COLUMNS.
     support: list[tuple[int, int]] = []
-    s = 0
-    while s * deg_j <= support_degree_cap:
-        t = 0 if s else 1
-        while s * deg_j + t * deg_k <= support_degree_cap:
-            support.append((s, t))
-            t += 1
-        s += 1
+    for s in range(support_degree_cap // deg_j + 1):
+        first = 0 if s else 1
+        last = (support_degree_cap - s * deg_j) // deg_k
+        if len(support) + last + 1 - first > MAX_SUPPORT_COLUMNS:
+            raise _SupportTooLarge(
+                f"support cap {support_degree_cap} gives more than {MAX_SUPPORT_COLUMNS} support monomials"
+            )
+        support.extend((s, t) for t in range(first, last + 1))
     support.sort(key=lambda st: (st[0] + st[1], st[0]))
     if not support:
         return None
@@ -359,10 +375,14 @@ def find_any_reduction(pmap: PolyMap, support_degree_cap: int | None = None) -> 
 
     Targets whose preconditions fail under the given cap are skipped
     rather than raised, so a single cap can be probed against all three.
+    A support beyond MAX_SUPPORT_COLUMNS is raised: that target was not
+    searched, so None would claim more than is known.
     """
     for target in (2, 1, 0):
         try:
             result = find_elementary_reduction(pmap, target, support_degree_cap)
+        except _SupportTooLarge:
+            raise
         except ValueError:
             continue
         if result is not None:

@@ -11,6 +11,7 @@ equation of f2 by the reduction solver.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,28 +109,17 @@ def verify_example(pmap: PolyMap | None = None) -> ExampleReport:
 
     expected_g = parsing.parse_polynomial(REDUCTION_G, _G_NAMES)
     expected_residual = parsing.parse_polynomial(RESIDUAL, _NAMES)
-    try:
-        found = reduction.find_elementary_reduction(pmap, 1, 50)
-    except ValueError as exc:
-        found = None
-        failure = f"error: {exc}"
-    else:
-        failure = "none"
-    if found is None:
-        checks.append(Check("reduction-g", REDUCTION_G, False, failure))
-        checks.append(Check("reduction-residual", RESIDUAL, False, failure))
-        checks.append(Check("reduction-degree", "5", False, failure))
-    else:
-        checks.append(Check(
-            "reduction-g", REDUCTION_G, found.g == expected_g,
-            parsing.format_polynomial(found.g, _G_NAMES),
-        ))
-        checks.append(Check(
-            "reduction-residual", RESIDUAL, found.residual == expected_residual,
-            parsing.format_polynomial(found.residual, _NAMES),
-        ))
-        checks.append(Check(
-            "reduction-degree", "5", found.residual_degree == 5, str(found.residual_degree),
-        ))
+    search = functools.cache(lambda: reduction.find_elementary_reduction(pmap, 1, 50))
+
+    def reduced(read: Callable[[reduction.ReductionResult], tuple[bool, str]]) -> tuple[bool, str]:
+        found = search()
+        return (False, "none") if found is None else read(found)
+
+    check("reduction-g", REDUCTION_G, lambda: reduced(
+        lambda r: (r.g == expected_g, parsing.format_polynomial(r.g, _G_NAMES))))
+    check("reduction-residual", RESIDUAL, lambda: reduced(
+        lambda r: (r.residual == expected_residual, parsing.format_polynomial(r.residual, _NAMES))))
+    check("reduction-degree", "5", lambda: reduced(
+        lambda r: (r.residual_degree == 5, str(r.residual_degree))))
 
     return ExampleReport(tuple(checks))

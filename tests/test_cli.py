@@ -190,6 +190,27 @@ class TestBracket:
         assert code == 0
         assert out == "(b)·[a,b]\ndegree: 3\n"
 
+    def test_non_ascii_digit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "bracket", "x^2", "y³")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: line 1, column 2: unexpected character '³'\n"
+
+    def test_file_error_points_at_the_file_line(self, capsys, tmp_path):
+        # the polynomial is wrapped over lines 2-3, after a comment line
+        path = tmp_path / "f.txt"
+        path.write_text("# f, wrapped\nx^2 + y  # first part\n  + 3*x*y + w\n\n", encoding="utf-8")
+        code, _, err = run(capsys, "bracket", str(path), str(path), "--file")
+        assert code == 2
+        assert err == "parse error: line 3, column 13: unknown variable 'w'\n"
+
+    def test_file_error_at_the_end_of_input(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("x +\n# nothing follows\n\n", encoding="utf-8")
+        code, _, err = run(capsys, "bracket", str(path), str(path), "--file")
+        assert code == 2
+        assert err == "parse error: line 1, column 4: unexpected end of input\n"
+
 
 class TestSuCheck:
     def test_json_golden(self, capsys):
@@ -297,6 +318,22 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", str(path), "--target", "3", "--cap", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--target", "3", "--cap", "1000000"],
+        ["--target", "3", "--cap", str(10**12)],
+        ["--cap", "1000000"],
+    ])
+    def test_support_beyond_the_column_bound(self, capsys, tmp_path, time_limit, argv):
+        # the leading forms x and x^2 are dependent, so the cap is not
+        # trimmed and the support would grow with its square
+        path = tmp_path / "map.txt"
+        path.write_text("vars: x, y, z\nx\nx^2 + y\nz + x^3\n", encoding="utf-8")
+        with time_limit(10):
+            code, out, err = run(capsys, "reduce", str(path), *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: support cap {argv[-1]} gives more than 2000 support monomials\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "reduce", str(tmp_path / "absent.txt"))
         assert code == 1
@@ -346,6 +383,26 @@ class TestMdegAndCompose:
         assert code == 0
         assert json.loads(out) == {"mdeg": [3, 5, 11]}
 
+    @pytest.mark.parametrize("line, column", [("x²", 2), ("x + " + "7" * 5000, 5)],
+                             ids=["superscript-digit", "5000-digit-literal"])
+    def test_unreadable_map_line_is_a_parse_error(self, capsys, tmp_path, line, column):
+        path = tmp_path / "map.txt"
+        path.write_text(f"vars: x, y, z\n{line}\ny\nz\n", encoding="utf-8")
+        code, out, err = run(capsys, "mdeg", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"parse error: line 2, column {column}: ")
+
+    def test_long_map_line_parses_in_linear_time(self, capsys, tmp_path, time_limit):
+        # 64,000 distinct monomials on one line: about a megabyte of text
+        line = " + ".join(f"x^{a}*y^{b}*z^{c}" for a in range(40) for b in range(40) for c in range(40))
+        path = tmp_path / "map.txt"
+        path.write_text(f"vars: x, y, z\n{line}\ny\nz\n", encoding="utf-8")
+        with time_limit(10):
+            code, out, _ = run(capsys, "mdeg", str(path))
+        assert code == 0
+        assert out == "(117, 1, 1)\n"
+
     def test_compose_emits_a_parseable_map(self, capsys, tmp_path):
         path = tmp_path / "word.txt"
         path.write_text(self.WORD, encoding="utf-8")
@@ -390,7 +447,7 @@ class TestVerifyExample:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 12
-        assert all(c["passed"] for c in payload["checks"])
+        assert all(c["passed"] is True for c in payload["checks"])
 
 
 class TestUsage:

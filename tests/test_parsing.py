@@ -138,6 +138,48 @@ class TestParseErrors:
     def test_parse_error_is_value_error(self):
         assert issubclass(ParseError, ValueError)
 
+    @pytest.mark.parametrize("text, column", [
+        ("x²", 2),       # superscript two: str.isdigit, but not int()-able
+        ("y + ٣", 5),    # Arabic-Indic three: int() reads it as 3
+        ("2*é", 3),
+        ("x³y", 2),
+    ])
+    def test_non_ascii_character(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.column == column
+        assert info.value.reason == f"unexpected character {text[column - 1]!r}"
+
+    def test_literal_beyond_the_int_digit_limit(self):
+        digits = "7" * 5000
+        for text, column in ((f"x + {digits}*y", 5), (f"x^{digits}", 3), (f"1/{digits}", 3)):
+            with pytest.raises(ParseError) as info:
+                parse_polynomial(text, NAMES, line=4)
+            assert (info.value.line, info.value.column) == (4, column)
+            assert "5000 digits" in info.value.reason
+
+    def test_scan_errors_come_before_syntax_errors(self):
+        # the whole line is scanned first, so the unknown name wins over
+        # the missing exponent before it
+        with pytest.raises(ParseError) as info:
+            parse("x^ + q")
+        assert info.value.reason == "unknown variable 'q'"
+        assert info.value.column == 6
+
+
+class TestLinearParse:
+    def test_long_run_of_signs(self):
+        # signs are a loop, not a recursion, so a long run cannot
+        # overflow the stack
+        assert parse("-" * 5000 + "x") == x
+        assert parse("x - " + "-" * 4998 + "y") == x - y
+
+    def test_many_terms_merge_in_one_construction(self):
+        text = " + ".join(f"x^{a}*y^{b}" for a in range(60) for b in range(60))
+        p = parse(text + " - " + text.replace(" + ", " - "))
+        assert p.is_zero
+        assert len(parse(text).terms()) == 3600
+
 
 class TestFormat:
     def test_canonical_order_graded_then_lexicographic(self):
@@ -238,3 +280,61 @@ z
     def test_significant_lines_strip_comments(self):
         text = "a # trailing\n# full line\n\n b\n"
         assert significant_lines(text) == [(1, "a"), (4, "b")]
+
+
+# A factor is ("num", signs, numerator, denominator or None) or
+# ("var", signs, index, exponent or None), and a term is a sign and a list
+# of factors.  The reference evaluates terms with Polynomial arithmetic;
+# the renderer writes them with random spacing and implicit products.
+_signs = st.text("+-", max_size=2)
+_factor = st.one_of(
+    st.tuples(st.just("num"), _signs, st.integers(0, 12), st.none() | st.integers(1, 9)),
+    st.tuples(st.just("var"), _signs, st.integers(0, 2), st.none() | st.integers(0, 4)),
+)
+_term = st.tuples(st.sampled_from("+-"), st.lists(_factor, min_size=1, max_size=4))
+_space = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def _reference(terms) -> Polynomial:
+    total = Polynomial.zero(3)
+    for term_sign, factors in terms:
+        product = Polynomial.constant(-1 if term_sign == "-" else 1, 3)
+        for kind, signs, a, b in factors:
+            if kind == "num":
+                value = Polynomial.constant(Fraction(a, b or 1), 3)
+            else:
+                value = (x, y, z)[a] ** (1 if b is None else b)
+            product = product * (-value if signs.count("-") % 2 else value)
+        total = total + product
+    return total
+
+
+def _render(terms, draw) -> str:
+    out = []
+    for i, (term_sign, factors) in enumerate(terms):
+        if i or term_sign == "-" or draw(st.booleans()):
+            out.append(draw(_space) + term_sign + draw(_space))
+        for j, (kind, signs, a, b) in enumerate(factors):
+            if j and not signs and draw(st.booleans()):
+                # implicit product; a space keeps adjacent digits apart
+                out.append(" " if kind == "num" else draw(_space))
+            elif j:
+                out.append(draw(_space) + "*" + draw(_space))
+            out.append(signs + draw(_space))
+            if kind == "num":
+                out.append(str(a) if b is None else f"{a}{draw(_space)}/{draw(_space)}{b}")
+            else:
+                out.append(NAMES[a] if b is None else f"{NAMES[a]}{draw(_space)}^{draw(_space)}{b}")
+    return "".join(out)
+
+
+class TestAgainstArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_parse_matches_polynomial_arithmetic(self, data):
+        terms = data.draw(st.lists(_term, min_size=1, max_size=6))
+        # echo some terms with the opposite sign, so monomials repeat and cancel
+        for k in data.draw(st.lists(st.integers(0, len(terms) - 1), max_size=3)):
+            terms.append(("-" if terms[k][0] == "+" else "+", terms[k][1]))
+        text = _render(terms, data.draw)
+        assert parse(text) == _reference(terms), text

@@ -220,6 +220,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             find_elementary_reduction(PolyMap((x, y + x**2, z)), 1, 1)
 
+    def test_support_column_bound(self, monkeypatch):
+        # x and x^2 are dependent leading forms, so cap 6 keeps all 15
+        # monomials u^s v^t with 0 < s + 2t <= 6
+        m = PolyMap((x, y + x**2, z + x**3))
+        monkeypatch.setattr(reduction, "MAX_SUPPORT_COLUMNS", 15)
+        assert find_elementary_reduction(m, 2, 6).g == u**3
+        monkeypatch.setattr(reduction, "MAX_SUPPORT_COLUMNS", 14)
+        with pytest.raises(ValueError, match="more than 14 support monomials"):
+            find_elementary_reduction(m, 2, 6)
+
+    def test_huge_cap_is_not_enumerated(self):
+        m = PolyMap((x, y + x**2, z + x**3))
+        with pytest.raises(ValueError, match="support cap 1000000000000 gives more than 2000"):
+            find_elementary_reduction(m, 2, 10**12)
+        # an unsearched target is an error, not a skipped one
+        with pytest.raises(ValueError, match="more than 2000"):
+            find_any_reduction(m, 10**12)
+
 
 class TestHonestNone:
     def test_unreachable_monomial(self):
