@@ -366,7 +366,7 @@ def parse_word_file(text: str) -> tuple[list[TameStep], tuple[str, ...]]:
                 if not 1 <= index <= arity:
                     raise ValueError(f"component index {index} out of range 1..{arity}")
                 scalar = Fraction(head[2])
-                shift = parsing.parse_polynomial(head[3], names, lineno)
+                shift = parsing.parse_polynomial(line, names, lineno, len(line) - len(head[3]))
                 steps.append(ElementaryStep(index - 1, scalar, shift))
             elif kind == "perm":
                 images = [int(v) for v in fields[1:]]

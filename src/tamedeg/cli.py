@@ -36,18 +36,11 @@ def _read_text(path: str) -> str:
 
 def _polynomial_argument(parser: argparse.ArgumentParser, raw: str, names, from_file: bool) -> Polynomial:
     if from_file:
-        # Newlines are whitespace to the parser, so the file parses as
-        # one text with its comments cut, and an error's offset in that
-        # text maps back to the file's own line and column.
+        # One text with comments cut; to the parser, newlines are blanks.
         text = "\n".join(line.split("#", 1)[0] for line in _read_text(raw).splitlines()).rstrip()
         if not text:
             raise parsing.ParseError(f"no polynomial found in {raw!r}", 1, 1)
-        try:
-            return parsing.parse_polynomial(text, names)
-        except parsing.ParseError as exc:
-            offset = exc.column - 1
-            line = text.count("\n", 0, offset) + 1
-            raise parsing.ParseError(exc.reason, line, offset - text.rfind("\n", 0, offset)) from None
+        return parsing.parse_polynomial(text, names)
     if len(raw) > INLINE_LIMIT:
         parser.error(f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
     return parsing.parse_polynomial(raw, names)

@@ -78,8 +78,13 @@ def validate_names(names: Sequence[str]) -> tuple[str, ...]:
 
 # ---- scanner and parser ----
 
-def _tokens(text: str, names: Sequence[str], line: int) -> list[tuple[str, object, int]]:
-    """(kind, value, column) for each token of `text`, then an end token.
+def _error(message: str, text: str, line: int, index: int) -> ParseError:
+    """ParseError at text[index]; only a failing parse counts newlines."""
+    return ParseError(message, line + text.count("\n", 0, index), index - text.rfind("\n", 0, index))
+
+
+def _tokens(text: str, names: Sequence[str], line: int, offset: int) -> list[tuple[str, object, int]]:
+    """(kind, value, offset) for each token of text[offset:], then an end token.
 
     The kinds are 'num' (an int), 'name', one of +-*/^, and 'end'.  The
     whole text is scanned before parsing, so a stray character or an
@@ -90,38 +95,39 @@ def _tokens(text: str, names: Sequence[str], line: int) -> list[tuple[str, objec
     declared = "|".join(re.escape(name) for name in sorted(names, key=len, reverse=True))
     scanner = re.compile(rf"\s*(?:([0-9]+)|({declared})|([-+*/^])|({_IDENTIFIER})|(\S))")
     tokens: list[tuple[str, object, int]] = []
-    for match in scanner.finditer(text):
+    for match in scanner.finditer(text, offset):
         group = match.lastindex
         lexeme = match[group]
-        column = match.start(group) + 1
+        start = match.start(group)
         if group == 1:
             try:
-                tokens.append(("num", int(lexeme), column))
+                tokens.append(("num", int(lexeme), start))
             except ValueError:  # beyond the interpreter's int() digit limit
-                raise ParseError(f"number of {len(lexeme)} digits is too long", line, column) from None
+                raise _error(f"number of {len(lexeme)} digits is too long", text, line, start) from None
         elif group == 2:
-            tokens.append(("name", lexeme, column))
+            tokens.append(("name", lexeme, start))
         elif group == 3:
-            tokens.append((lexeme, lexeme, column))
+            tokens.append((lexeme, lexeme, start))
         elif group == 4:
-            raise ParseError(f"unknown variable {lexeme!r}", line, column)
+            raise _error(f"unknown variable {lexeme!r}", text, line, start)
         else:
-            raise ParseError(f"unexpected character {lexeme!r}", line, column)
-    tokens.append(("end", None, len(text) + 1))
+            raise _error(f"unexpected character {lexeme!r}", text, line, start)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
-def parse_polynomial(text: str, names: Sequence[str], line: int = 1) -> Polynomial:
-    """Parse one polynomial over the declared variable names.
+def parse_polynomial(text: str, names: Sequence[str], line: int = 1, offset: int = 0) -> Polynomial:
+    """Parse text[offset:] as one polynomial over the declared variable names.
 
-    `line` seeds error positions when the text comes from a larger file.
-    Each term is one monomial, so the parser keeps a coefficient and an
-    exponent list per term and builds a single Polynomial at the end,
-    whose constructor merges repeated monomials: linear in the text.
+    Errors name their line and column in `text`, whose first line is
+    line `line`.  Each term is one monomial, so the parser keeps a
+    coefficient and an exponent list per term and builds a single
+    Polynomial at the end, whose constructor merges repeated monomials:
+    linear in the text.
     """
     names = validate_names(names)
     index = {name: i for i, name in enumerate(names)}
-    tokens = _tokens(text, names, line)
+    tokens = _tokens(text, names, line, offset)
     terms: list[tuple[Monomial, Scalar]] = []
     pos = 0
     while True:
@@ -130,7 +136,7 @@ def parse_polynomial(text: str, names: Sequence[str], line: int = 1) -> Polynomi
         coeff: Scalar = 1
         exps = [0] * len(names)
         while True:
-            kind, value, column = tokens[pos]
+            kind, value, start = tokens[pos]
             pos += 1
             if kind == "+" or kind == "-":
                 if kind == "-":
@@ -138,30 +144,30 @@ def parse_polynomial(text: str, names: Sequence[str], line: int = 1) -> Polynomi
                 continue
             if kind == "num":
                 if tokens[pos][0] == "/":
-                    kind, denominator, column = tokens[pos + 1]
+                    kind, denominator, start = tokens[pos + 1]
                     if kind != "num":
-                        raise ParseError("expected a denominator after '/'", line, column)
+                        raise _error("expected a denominator after '/'", text, line, start)
                     if denominator == 0:
-                        raise ParseError("zero denominator", line, column)
+                        raise _error("zero denominator", text, line, start)
                     value = Fraction(value, denominator)
                     pos += 2
                 if tokens[pos][0] == "^":
-                    raise ParseError("exponents apply to variables only", line, tokens[pos][2])
+                    raise _error("exponents apply to variables only", text, line, tokens[pos][2])
                 coeff *= value
             elif kind == "name":
                 exponent = 1
                 if tokens[pos][0] == "^":
-                    kind, exponent, column = tokens[pos + 1]
+                    kind, exponent, start = tokens[pos + 1]
                     if kind != "num":
-                        raise ParseError("expected a natural number after '^'", line, column)
+                        raise _error("expected a natural number after '^'", text, line, start)
                     if exponent > MAX_EXPONENT:
-                        raise ParseError(f"exponent {exponent} exceeds the supported bound {MAX_EXPONENT}", line, column)
+                        raise _error(f"exponent {exponent} exceeds the supported bound {MAX_EXPONENT}", text, line, start)
                     pos += 2
                 exps[index[value]] += exponent
             elif kind == "end":
-                raise ParseError("unexpected end of input", line, column)
+                raise _error("unexpected end of input", text, line, start)
             else:
-                raise ParseError(f"unexpected {value!r}", line, column)
+                raise _error(f"unexpected {value!r}", text, line, start)
             # Implicit multiplication never consumes a sign, so `x - 2`
             # ends the term at the '-'.
             kind = tokens[pos][0]
@@ -170,11 +176,11 @@ def parse_polynomial(text: str, names: Sequence[str], line: int = 1) -> Polynomi
             elif kind != "name" and kind != "num":
                 break
         terms.append((tuple(exps), coeff))
-        kind, value, column = tokens[pos]
+        kind, value, start = tokens[pos]
         if kind == "end":
             return Polynomial(len(names), terms)
         if kind != "+" and kind != "-":
-            raise ParseError(f"unexpected {value!r}", line, column)
+            raise _error(f"unexpected {value!r}", text, line, start)
 
 
 # ---- printer ----
@@ -216,13 +222,10 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
 # ---- map files ----
 
 def significant_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, content) for each line, comments and blanks removed."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+    """(line number, content) for each line not blank once its comment is
+    cut; leading blanks stay, so columns are the file's own."""
+    cut = (raw.split("#", 1)[0].rstrip() for raw in text.splitlines())
+    return [(lineno, line) for lineno, line in enumerate(cut, start=1) if line]
 
 
 def split_names(raw: str) -> tuple[str, ...]:
@@ -240,6 +243,7 @@ def read_vars_header(text: str, kind: str, first: str) -> tuple[list[tuple[int, 
     if not lines:
         raise ParseError(f"empty {kind}: expected a 'vars:' header", 1, 1)
     lineno, header = lines[0]
+    header = header.lstrip()
     if not header.startswith("vars:"):
         raise ParseError(f"expected a 'vars:' header before {first}", lineno, 1)
     try:

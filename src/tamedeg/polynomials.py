@@ -15,6 +15,7 @@ below every integer).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 NEG_INFINITY = float("-inf")
@@ -265,14 +266,15 @@ class Polynomial:
                 raise TypeError("substitution arguments must be Polynomials")
             if a.arity != target_arity:
                 raise ValueError(f"arity mismatch among substitution arguments: {a.arity} vs {target_arity}")
-        # Cache powers of each argument up to the largest exponent used.
-        powers: list[list[Polynomial]] = []
+        # Powers at the exponents in use, each from the previous one: one
+        # product across a gap of 1, repeated squaring across a larger one.
+        powers: list[dict[int, Polynomial]] = []
         for i, a in enumerate(args):
-            top = max((m[i] for m in self._terms), default=0)
-            cache = [Polynomial.constant(1, target_arity)]
-            for _ in range(top):
-                cache.append(cache[-1] * a)
-            powers.append(cache)
+            table: dict[int, Polynomial] = {}
+            for previous, e in pairwise(sorted({0} | {m[i] for m in self._terms})):
+                step = a if e - previous == 1 else a ** (e - previous)
+                table[e] = table[previous] * step if previous else step
+            powers.append(table)
         result = Polynomial.zero(target_arity)
         for m, c in self._terms.items():
             prod = Polynomial.constant(c, target_arity)

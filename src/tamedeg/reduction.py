@@ -70,10 +70,6 @@ SUBSET_BUDGET = 200_000
 MAX_SUPPORT_COLUMNS = 2_000
 
 
-class _SupportTooLarge(ValueError):
-    """The capped support has more than MAX_SUPPORT_COLUMNS monomials."""
-
-
 @dataclass(frozen=True)
 class ReductionResult:
     """g: bivariate polynomial applied to the two non-target components
@@ -195,6 +191,15 @@ def _solve_vanishing(rows: list[Row], pivots: dict[int, int], vanish: list[int],
     return _solve_reduced(rows, pivots, ncols)
 
 
+def _check_map(pmap: PolyMap) -> None:
+    """Raise ValueError unless pmap has three pairwise distinct components."""
+    if pmap.arity != 3:
+        raise ValueError(f"reduction search expects three components, got {pmap.arity}")
+    f, g, h = pmap.components
+    if f == g or f == h or g == h:
+        raise ValueError("map components must be pairwise distinct")
+
+
 def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: int | None = None) -> ReductionResult | None:
     """The best capped elementary reduction at `target` (0-based), or None.
 
@@ -221,15 +226,10 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     target lies in the algebra generated by the other two components
     and is reported as None.
     """
-    if pmap.arity != 3:
-        raise ValueError(f"reduction search expects three components, got {pmap.arity}")
+    _check_map(pmap)
     if not 0 <= target < 3:
         raise ValueError(f"target index {target} out of range")
     components = pmap.components
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if components[a] == components[b]:
-                raise ValueError("map components must be pairwise distinct")
     f_target = components[target]
     j, k = (i for i in range(3) if i != target)
     deg_target = f_target.degree()
@@ -258,7 +258,7 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         first = 0 if s else 1
         last = (support_degree_cap - s * deg_j) // deg_k
         if len(support) + last + 1 - first > MAX_SUPPORT_COLUMNS:
-            raise _SupportTooLarge(
+            raise ValueError(
                 f"support cap {support_degree_cap} gives more than {MAX_SUPPORT_COLUMNS} support monomials"
             )
         support.extend((s, t) for t in range(first, last + 1))
@@ -373,18 +373,17 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
 def find_any_reduction(pmap: PolyMap, support_degree_cap: int | None = None) -> tuple[int, ReductionResult] | None:
     """First reducible target, trying components 3, 2, 1 (as indices 2, 1, 0).
 
-    Targets whose preconditions fail under the given cap are skipped
-    rather than raised, so a single cap can be probed against all three.
-    A support beyond MAX_SUPPORT_COLUMNS is raised: that target was not
-    searched, so None would claim more than is known.
+    A target whose degree lies above an explicit cap is skipped, since
+    no reduction within the cap exists there; so one cap can be probed
+    against all three.  Every other precondition failure raises
+    ValueError exactly as find_elementary_reduction does, the map-wide
+    ones before any target is searched.
     """
+    _check_map(pmap)
     for target in (2, 1, 0):
-        try:
-            result = find_elementary_reduction(pmap, target, support_degree_cap)
-        except _SupportTooLarge:
-            raise
-        except ValueError:
+        if support_degree_cap is not None and pmap.components[target].degree() > support_degree_cap:
             continue
+        result = find_elementary_reduction(pmap, target, support_degree_cap)
         if result is not None:
             return target, result
     return None

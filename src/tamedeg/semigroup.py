@@ -21,7 +21,8 @@ def membership(l: int, a: int, b: int) -> tuple[int, int] | None:
     """A representation l == s*a + t*b with s, t >= 0, or None.
 
     Among all representations the one with the smallest t is returned,
-    which also maximises s.  Runs in O(l / b) candidate steps.
+    which also maximises s: t = (l/d) * (b/d)^-1 mod a/d with
+    d = gcd(a, b), and l is a member exactly when t*b <= l.
     """
     _validate_generators(a, b)
     if not isinstance(l, int) or l < 0:
@@ -29,14 +30,13 @@ def membership(l: int, a: int, b: int) -> tuple[int, int] | None:
     d = math.gcd(a, b)
     if l % d:
         return None
-    for t in range(0, l // b + 1):
-        rest = l - t * b
-        if rest % a == 0:
-            s = rest // a
-            if s * a + t * b != l:
-                raise AssertionError(f"unsound representation ({s}, {t}) for {l} over ({a}, {b})")
-            return (s, t)
-    return None
+    t = l // d * pow(b // d, -1, a // d) % (a // d)
+    if t * b > l:
+        return None
+    s = (l - t * b) // a
+    if s * a + t * b != l:
+        raise AssertionError(f"unsound representation ({s}, {t}) for {l} over ({a}, {b})")
+    return (s, t)
 
 
 def frobenius(a: int, b: int) -> int:

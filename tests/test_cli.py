@@ -232,6 +232,12 @@ class TestSuCheck:
         assert out.splitlines()[0] == "p: 2"
         assert "holds: True" in out
 
+    def test_high_exponent_composes_quickly(self, capsys, time_limit):
+        with time_limit(5):
+            code, out, _ = run(capsys, "su-check", "x", "y", "u^1000000", "--json")
+        assert code == 0
+        assert json.loads(out)["lhs_degree"] == 1000000
+
     def test_dependent_pair_is_a_domain_error(self, capsys):
         code, _, err = run(capsys, "su-check", "x", "x^2", "u+v")
         assert code == 1
@@ -334,6 +340,33 @@ class TestReduce:
         assert out == ""
         assert err == f"error: support cap {argv[-1]} gives more than 2000 support monomials\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("vars: x, y\nx + y^2\ny + x^3\n", "reduction search expects three components, got 2"),
+        ("vars: x, y, z\nx + y^2\nx + y^2\nz + x^3\n", "map components must be pairwise distinct"),
+        ("vars: x, y, z\nx\ny\n2\n", "cannot reduce against a constant component"),
+    ], ids=["two-components", "equal-components", "constant-component"])
+    @pytest.mark.parametrize("cap", [[], ["--cap", "1"]], ids=["default-cap", "cap-1"])
+    def test_malformed_map_without_target(self, capsys, tmp_path, text, message, cap):
+        # every target is searched or refused as with --target; a cap
+        # below the degrees does not hide a fault of the whole map
+        path = tmp_path / "map.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = f"error: {message}\n"
+        assert run(capsys, "reduce", str(path), "--target", "1", *cap) == (1, "", expected)
+        assert run(capsys, "reduce", str(path), *cap) == (1, "", expected)
+
+    def test_target_above_the_cap_is_skipped(self, capsys, tmp_path):
+        # the degree-3 component lies above cap 2, so the search moves on
+        # to the degree-2 component
+        path = tmp_path / "map.txt"
+        path.write_text("vars: x, y, z\nx\ny + x^2\nz + x^3\n", encoding="utf-8")
+        code, out, _ = run(capsys, "reduce", str(path), "--cap", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "found": True, "target": 2, "g": "u^2",
+            "residual": "y", "residual_degree": 1,
+        }
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "reduce", str(tmp_path / "absent.txt"))
         assert code == 1
@@ -368,6 +401,15 @@ class TestSemigroup:
         assert code == 0
         assert json.loads(out) == {"member": True, "s": 5, "t": 0, "frobenius": None}
 
+    def test_huge_target_in_constant_time(self, capsys, time_limit):
+        with time_limit(5):
+            code, out, _ = run(capsys, "semigroup", "1000000007", "1000000009", "1000000014999999935")
+        assert code == 0
+        assert json.loads(out) == {
+            "member": True, "s": 500000064, "t": 499999943,
+            "frobenius": 1000000007 * 1000000009 - 1000000007 - 1000000009,
+        }
+
 
 class TestMdegAndCompose:
     WORD = "vars: x, y, z\nelem 1 1 z^3\nelem 2 1 z^5\nelem 3 1 x^2*y\n"
@@ -392,6 +434,24 @@ class TestMdegAndCompose:
         assert code == 2
         assert out == ""
         assert err.startswith(f"parse error: line 2, column {column}: ")
+
+    def test_map_error_names_the_file_column(self, capsys, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("vars: x, y, z\n   x + q\ny\nz\n", encoding="utf-8")
+        assert run(capsys, "mdeg", str(path)) == (2, "", "parse error: line 2, column 8: unknown variable 'q'\n")
+
+    def test_word_shift_error_names_the_file_column(self, capsys, tmp_path):
+        path = tmp_path / "word.txt"
+        path.write_text("vars: x, y, z\nelem 1 1 y + q\n", encoding="utf-8")
+        assert run(capsys, "compose", str(path)) == (2, "", "parse error: line 2, column 14: unknown variable 'q'\n")
+
+    def test_high_exponent_shift_composes_quickly(self, capsys, tmp_path, time_limit):
+        path = tmp_path / "word.txt"
+        path.write_text("vars: x, y, z\nelem 2 1 x^1000000\n", encoding="utf-8")
+        with time_limit(5):
+            code, out, _ = run(capsys, "compose", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["components"] == ["x", "x^1000000 + y", "z"]
 
     def test_long_map_line_parses_in_linear_time(self, capsys, tmp_path, time_limit):
         # 64,000 distinct monomials on one line: about a megabyte of text

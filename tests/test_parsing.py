@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import random
+import re
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -16,8 +21,10 @@ from tamedeg import (
     format_polynomial,
     parse_map_file,
     parse_polynomial,
+    parse_word_file,
     variables,
 )
+from tamedeg.cli import main
 from tamedeg.parsing import MAX_EXPONENT, default_names, significant_lines
 
 x, y, z = variables(3)
@@ -278,8 +285,10 @@ z
         assert names == ("x", "y", "z")
 
     def test_significant_lines_strip_comments(self):
-        text = "a # trailing\n# full line\n\n b\n"
-        assert significant_lines(text) == [(1, "a"), (4, "b")]
+        # comments, blank lines and trailing blanks go; leading blanks
+        # stay, so columns are the file's own
+        text = "a # trailing\n# full line\n\n   \n b \n"
+        assert significant_lines(text) == [(1, "a"), (5, " b")]
 
 
 # A factor is ("num", signs, numerator, denominator or None) or
@@ -338,3 +347,57 @@ class TestAgainstArithmetic:
             terms.append(("-" if terms[k][0] == "+" else "+", terms[k][1]))
         text = _render(terms, data.draw)
         assert parse(text) == _reference(terms), text
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The 1-based line and column of text[index]."""
+    before = text[:index].split("\n")
+    return len(before), len(before[-1]) + 1
+
+
+class TestErrorPositions:
+    """One stray `?` or undeclared `w` inserted into a valid polynomial
+    is reported at the line and column of the insertion, in the text the
+    user wrote: an inline argument, a --file argument wrapped over
+    lines, an indented map-file line and the shift of an `elem` line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_insertion_is_reported_where_it_was_made(self, data):
+        valid = _render(data.draw(st.lists(_term, min_size=1, max_size=4)), data.draw)
+        stray = data.draw(st.sampled_from("?w"))
+        form = data.draw(st.sampled_from(["inline", "file", "map", "word"]))
+        if form == "file":
+            # wrap at some blanks; every blank separates tokens
+            body = "".join("\n" if c in " \t" and data.draw(st.booleans()) else c for c in valid)
+            head, tail = "# f, wrapped\n", "  # end\n\n"
+        elif form == "map":
+            body = valid
+            head, tail = "vars: x, y, z\n" + data.draw(st.sampled_from([" ", "   ", "\t "])), "\ny\nz\n"
+        elif form == "word":
+            body = valid
+            head = "vars: x, y, z\n" + data.draw(st.sampled_from(["elem 1 1 ", "  elem  2 -3/2\t"]))
+            tail = "  # shift\n"
+        else:
+            body, head, tail = valid, "", ""
+        at = len(head) + data.draw(st.integers(0, len(body)))
+        text = head + body + tail
+        text = text[:at] + stray + text[at:]
+
+        if form == "file":
+            with tempfile.TemporaryDirectory() as folder:
+                path = os.path.join(folder, "f.txt")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main(["bracket", path, path, "--file"]) == 2
+            line, column = (int(n) for n in re.match(r"parse error: line (\d+), column (\d+): ", err.getvalue()).groups())
+        else:
+            read = {"inline": lambda: parse_polynomial(text, NAMES), "map": lambda: parse_map_file(text),
+                    "word": lambda: parse_word_file(text)}[form]
+            with pytest.raises(ParseError) as info:
+                read()
+            line, column = info.value.line, info.value.column
+            assert info.value.reason.startswith("unexpected character '?'" if stray == "?" else "unknown variable 'w")
+        assert (line, column) == _position(text, at), text

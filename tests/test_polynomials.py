@@ -207,6 +207,19 @@ class TestCompose:
             assert (p + q).compose(args) == p.compose(args) + q.compose(args)
             assert (p * q).compose(args) == p.compose(args) * q.compose(args)
 
+    def test_sparse_exponents(self):
+        # gaps of 1 and larger gaps in the exponents each argument meets
+        u, v = variables(2)
+        p = 3 * u**40 + u**41 * v - u**2 * v**17 + v**18 + 5
+        f, g = x + y**2, y - z
+        expected = Polynomial.zero(3)
+        for (s, t), c in p.terms().items():
+            term = Polynomial.constant(c, 3)
+            for factor in [f] * s + [g] * t:
+                term = term * factor
+            expected = expected + term
+        assert p.compose([f, g]) == expected
+
     def test_compose_arity_check(self):
         with pytest.raises(ValueError):
             x.compose([x, y])

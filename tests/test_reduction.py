@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -27,6 +30,7 @@ from tamedeg.parsing import format_polynomial
 
 x, y, z = variables(3)
 u, v = variables(2)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def support_products(pmap: PolyMap, target: int, cap: int) -> list[Polynomial]:
@@ -237,6 +241,26 @@ class TestValidation:
         # an unsearched target is an error, not a skipped one
         with pytest.raises(ValueError, match="more than 2000"):
             find_any_reduction(m, 10**12)
+
+
+    @pytest.mark.parametrize("components, message", [
+        ((u + v**2, v + u**3), "reduction search expects three components, got 2"),
+        ((x + y**2, x + y**2, z + x**3), "map components must be pairwise distinct"),
+        ((x, y, Polynomial.constant(2, 3)), "cannot reduce against a constant component"),
+    ])
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_any_reduction_raises_what_a_target_raises(self, components, message, cap):
+        m = PolyMap(components)
+        with pytest.raises(ValueError, match=message):
+            find_elementary_reduction(m, 0, cap)
+        with pytest.raises(ValueError, match=message):
+            find_any_reduction(m, cap)
+
+    def test_any_reduction_skips_targets_above_the_cap(self):
+        m = PolyMap((x, y + x**2, z + x**3))
+        target, result = find_any_reduction(m, 2)
+        assert (target, result.g, result.residual) == (1, u**2, y)
+        assert find_any_reduction(m, 1) is None
 
 
 class TestHonestNone:
@@ -491,3 +515,19 @@ class TestCapTrim:
         assert result.g == u**2 - u * v
         assert result.residual == z
         assert find_elementary_reduction(pmap, 2, 3) is None
+
+
+class TestDigest:
+    def test_reduction_digest_of_two_streams(self):
+        # the answers of tools/reduction_digest.py on the benchmark's
+        # first two map streams, every target at the default cap
+        done = subprocess.run(
+            [sys.executable, "tools/reduction_digest.py", "--streams", "1-2"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "budget default stream 1 sha256 211faafeecead419f9b781ec9e0d88dfcf291414dd6c6bf69170722a2e4bf3bf found 155 none 325",
+            "budget default stream 2 sha256 0120bfa000f6df420e0e79b748498b09028c72f53abd3625d5ea927c6b660eb3 found 158 none 322",
+            "budget default total sha256 aebca507744741698e3929a58db2c1480ff6b435c70697fb72976f77f8f8a55e found 313 none 647",
+        ]

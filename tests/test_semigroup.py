@@ -45,6 +45,21 @@ class TestMembership:
                 assert s >= 0 and t >= 0
                 assert s * a + t * b == l
 
+    def test_closed_form_matches_the_smallest_t_search(self):
+        # the representation of the plain search over t = 0, 1, 2, ...
+        for a in range(1, 21):
+            for b in range(1, 21):
+                for l in range(200):
+                    expected = next(((l - t * b) // a, t) for t in range(l // b + 1) if (l - t * b) % a == 0) \
+                        if brute_force_member(l, a, b) else None
+                    assert membership(l, a, b) == expected, (l, a, b)
+
+    def test_huge_target(self, time_limit):
+        with time_limit(5):
+            assert membership(1000000014999999935, 1000000007, 1000000009) == (500000064, 499999943)
+        # gcd 6 is divided out before the inverse is taken
+        assert membership(6 * 1000000014999999935, 6 * 1000000007, 6 * 1000000009) == (500000064, 499999943)
+
     def test_non_coprime_requires_gcd_divisibility(self):
         assert membership(7, 4, 6) is None
         assert membership(20, 4, 6) == (5, 0)
