@@ -13,13 +13,17 @@ Word files mirror map files: a `vars:` header, then one step per line,
     elem <i> <alpha> <shift polynomial>     (1-based component index)
     perm <p1> ... <pn>                      (new j-th component = old p_j-th)
 
-with `#` comments allowed anywhere.
+with `#` comments allowed anywhere.  Indices are ASCII naturals and
+scalars ASCII rationals, as in polynomial text; errors name their
+field's line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from . import parsing
@@ -187,49 +191,31 @@ def mdeg(value: PolyMap | Sequence[TameStep]) -> tuple[int | float, ...]:
 
 # ---- witness constructions ----
 #
-# The recipes below are the shortest elementary words whose top-degree
-# terms cannot cancel (a pure power of z dominates each new component).
-# Each is checked by _checked before being returned: from leading forms
-# when no top form cancels, else by composing the word in full.
+# Each recipe below is a short elementary word, checked by _checked
+# before it is returned: from leading forms where they decide it, else by
+# composing it in full, as every witness_equal_pair word needs.
 
 
 def _leading_mdeg(steps: Sequence[TameStep]) -> tuple[int, ...] | None:
     """The multidegree of compose_word(steps) from leading forms alone,
     or None when a top form cancels and only full composition can tell.
 
-    One homogeneous leading form is kept per component.  For a step
-    a*F_i + s(F), weight each variable by the degree of its component's
-    form; the top weighted part of s, evaluated at the forms, is the
-    leading form of s(F) unless it is zero (the ring is a domain, and
-    F^m = LF^m + lower terms).  It is compared with a*LF_i by degree,
-    and at equal degree the two are added unless they cancel.
+    Each step's own apply is folded over one homogeneous leading form
+    per component.  With F = LF + lower terms, a*F_i + s(F) is a*LF_i +
+    s(LF) plus terms below max(deg LF_i, w), w the top degree of s with
+    each variable weighted by its form's degree (Shestakov-Umirbaev):
+    when the new component reaches that degree, its leading form is the new LF_i.
     """
-    forms = list(variables(_step_arity(steps[0]) if steps else 3))
+    forms = variables(_step_arity(steps[0]) if steps else 3)
     for step in steps:
-        if isinstance(step, PermutationStep):
-            forms = [forms[k] for k in step.images]
-            continue
         weights = [f.degree() for f in forms]
-        terms = step.shift.terms()
-        weighted = {m: sum(e * w for e, w in zip(m, weights)) for m in terms}
-        top = max(weighted.values(), default=None)
-        value = Polynomial.zero(len(forms))
-        for m, c in terms.items():
-            if weighted[m] == top:
-                term = Polynomial.constant(c, len(forms))
-                for f, e in zip(forms, m):
-                    if e:
-                        term = term * f ** e
-                value = value + term
-        if terms and value.is_zero:
-            return None
-        own = step.scalar * forms[step.index]
-        if value.degree() == own.degree():
-            value = value + own
-            if value.is_zero:
+        forms = step.apply(forms)
+        if isinstance(step, ElementaryStep):
+            reach = max([weights[step.index]] + [sum(map(mul, m, weights)) for m in step.shift.terms()])
+            value = forms[step.index]
+            if value.degree() < reach:
                 return None
-        # On a degree tie value is already the sum, and max keeps it.
-        forms[step.index] = max(value, own, key=Polynomial.degree)
+            forms = forms[: step.index] + (value.leading_form(),) + forms[step.index + 1:]
     return tuple(f.degree() for f in forms)
 
 
@@ -298,15 +284,6 @@ def witness_linear_first(d2: int, d3: int) -> list[TameStep]:
 # ---- the explicit counterexample map ----
 
 
-def _example_polynomials() -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
-    x, y, z = variables(3)
-    g = z + 3 * x ** 2 * y + 3 * x * y ** 3 + y ** 5
-    f1 = x + y ** 2 - g ** 2
-    h = y - 6 * (x + y ** 2) ** 2 * g + 8 * (x + y ** 2) * g ** 3 - Fraction(16, 5) * g ** 5
-    f2 = Fraction(256, 25) * f1 ** 5 + g + h ** 2
-    return g, f1, f2, h
-
-
 def build_example_map() -> PolyMap:
     """The fully expanded map (f1, f2, h) of multidegree (10, 23, 25).
 
@@ -319,7 +296,11 @@ def build_example_map() -> PolyMap:
     The middle component relies on exact cancellation of every term of
     degree 24 through 50 between (256/25) f1^5 and h^2.
     """
-    g, f1, f2, h = _example_polynomials()
+    x, y, z = variables(3)
+    g = z + 3 * x ** 2 * y + 3 * x * y ** 3 + y ** 5
+    f1 = x + y ** 2 - g ** 2
+    h = y - 6 * (x + y ** 2) ** 2 * g + 8 * (x + y ** 2) * g ** 3 - Fraction(16, 5) * g ** 5
+    f2 = Fraction(256, 25) * f1 ** 5 + g + h ** 2
     return PolyMap((f1, f2, h))
 
 
@@ -355,30 +336,29 @@ def parse_word_file(text: str) -> tuple[list[TameStep], tuple[str, ...]]:
     arity = len(names)
     steps: list[TameStep] = []
     for lineno, line in lines:
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "elem":
-                head = line.split(maxsplit=3)
-                if len(head) < 4:
-                    raise ValueError("elem lines need an index, a scalar and a shift polynomial")
-                index = int(head[1])
-                if not 1 <= index <= arity:
-                    raise ValueError(f"component index {index} out of range 1..{arity}")
-                scalar = Fraction(head[2])
-                shift = parsing.parse_polynomial(line, names, lineno, len(line) - len(head[3]))
-                steps.append(ElementaryStep(index - 1, scalar, shift))
-            elif kind == "perm":
-                images = [int(v) for v in fields[1:]]
-                if len(images) != arity:
-                    raise ValueError(f"perm lines need {arity} indices, got {len(images)}")
-                steps.append(PermutationStep(tuple(i - 1 for i in images)))
-            else:
-                raise ValueError(f"unknown step kind {kind!r} (expected 'elem' or 'perm')")
-        except parsing.ParseError:
-            raise
-        except (ValueError, ZeroDivisionError) as exc:
-            raise parsing.ParseError(str(exc), lineno, 1) from exc
+        fields = list(re.finditer(r"\S+", line))
+        kind = fields[0][0]
+        if kind == "elem":
+            if len(fields) < 4:
+                raise parsing._error("elem lines need an index, a scalar and a shift polynomial", line, lineno, len(line))
+            index = parsing._numeral(line, lineno, *fields[1].span())
+            if not 1 <= index <= arity:
+                raise parsing._error(f"component index {index} out of range 1..{arity}", line, lineno, fields[1].start())
+            scalar = parsing._numeral(line, lineno, *fields[2].span(), rational=True)
+            if scalar == 0:
+                raise parsing._error("elementary steps need a nonzero scalar", line, lineno, fields[2].start())
+            shift = parsing.parse_polynomial(line, names, lineno, fields[3].start())
+            if any(m[index - 1] for m in shift.terms()):
+                raise parsing._error(f"the shift depends on its own variable {names[index - 1]}", line, lineno, fields[3].start())
+            steps.append(ElementaryStep(index - 1, scalar, shift))
+        elif kind == "perm":
+            images = [parsing._numeral(line, lineno, *field.span()) for field in fields[1:]]
+            if sorted(images) != list(range(1, arity + 1)):
+                raise parsing._error(f"perm lines need a permutation of 1..{arity}", line, lineno,
+                                     fields[1].start() if images else len(line))
+            steps.append(PermutationStep(tuple(i - 1 for i in images)))
+        else:
+            raise parsing._error(f"unknown step kind {kind!r} (expected 'elem' or 'perm')", line, lineno, fields[0].start())
     return steps, names
 
 

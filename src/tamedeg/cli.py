@@ -347,10 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except parsing.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:  # a result failed its own recheck

@@ -112,8 +112,9 @@ def decide(triple: Sequence[int]) -> Decision:
     right multidegree (automorphisms._checked).  The check reads the
     multidegree off the leading forms of the steps, which takes
     O(log d3) polynomial products for SemigroupMember and d1 = 1
-    words.  Where a top form cancels, as in every EqualFirstPair word
-    and in the (10, 23, 25) word, it composes the word in full instead.
+    words.  Where a top form cancels at or above the degree of the
+    component it replaces, as in every EqualFirstPair word and in the
+    (10, 23, 25) word, it composes the word in full instead.
     The exclusion rules test d2 and d3 for primality once each, with
     the deterministic Miller-Rabin test of _is_prime; a degree at or
     above its bound raises ValueError when these rules reach it.
@@ -142,23 +143,25 @@ def decide(triple: Sequence[int]) -> Decision:
             witness = tuple(automorphisms._checked(automorphisms.example_word(), triple))
         return Decision(triple, TAME, KNOWN_INSTANCE, witness=witness)
 
+    gcd13, gcd12 = math.gcd(d1, d3), math.gcd(d1, d2)
+    ratio_is_2, coprime = d1 == 2 * gcd13, gcd12 == 1
     d2_prime = _is_prime(d2)
-    if d2_prime and d1 != 2 * math.gcd(d1, d3):
+    if d2_prime and not ratio_is_2:
         return Decision(triple, NOT_TAME, THEOREM3_EXCLUSION)
 
     d3_prime = _is_prime(d3)
-    if d3_prime and math.gcd(d1, d2) == 1:
+    if d3_prime and coprime:
         return Decision(triple, NOT_TAME, THEOREM4_EXCLUSION)
 
     failed = []
     if not d2_prime:
         failed.append(f"Theorem3Exclusion needs a prime d2; {d2} is composite")
-    if d1 == 2 * math.gcd(d1, d3):
-        failed.append(f"Theorem3Exclusion needs d1/gcd(d1, d3) != 2; {d1}/{math.gcd(d1, d3)} = 2")
+    if ratio_is_2:
+        failed.append(f"Theorem3Exclusion needs d1/gcd(d1, d3) != 2; {d1}/{gcd13} = 2")
     if not d3_prime:
         failed.append(f"Theorem4Exclusion needs a prime d3; {d3} is composite")
-    if math.gcd(d1, d2) != 1:
-        failed.append(f"Theorem4Exclusion needs gcd(d1, d2) = 1; gcd({d1}, {d2}) = {math.gcd(d1, d2)}")
+    if not coprime:
+        failed.append(f"Theorem4Exclusion needs gcd(d1, d2) = 1; gcd({d1}, {d2}) = {gcd12}")
     return Decision(triple, UNKNOWN, HYPOTHESES_FAIL, failed_hypotheses=tuple(failed))
 
 

@@ -83,6 +83,30 @@ def _error(message: str, text: str, line: int, index: int) -> ParseError:
     return ParseError(message, line + text.count("\n", 0, index), index - text.rfind("\n", 0, index))
 
 
+def _natural(digits: str, text: str, line: int, start: int) -> int:
+    """The value of the ASCII digits found at text[start]."""
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's int() digit limit
+        raise _error(f"number of {len(digits)} digits is too long", text, line, start) from None
+
+
+def _numeral(text: str, line: int, start: int, end: int, rational: bool = False) -> Scalar:
+    """text[start:end] read as `[0-9]+`, or with `rational` as `[-+]?[0-9]+(/[0-9]+)?`;
+    errors point at the numeral, or at a zero denominator."""
+    match = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?").fullmatch(text, start, end)
+    if match is None or not rational and match.group(1, 3) != ("", None):
+        kind = "rational" if rational else "natural"
+        raise _error(f"expected a {kind} number, got {text[start:end]!r}", text, line, start)
+    value: Scalar = _natural(match[2], text, line, match.start(2))
+    if match[3] is not None:
+        denominator = _natural(match[3], text, line, match.start(3))
+        if denominator == 0:
+            raise _error("zero denominator", text, line, match.start(3))
+        value = Fraction(value, denominator)
+    return -value if match[1] == "-" else value
+
+
 def _tokens(text: str, names: Sequence[str], line: int, offset: int) -> list[tuple[str, object, int]]:
     """(kind, value, offset) for each token of text[offset:], then an end token.
 
@@ -100,10 +124,7 @@ def _tokens(text: str, names: Sequence[str], line: int, offset: int) -> list[tup
         lexeme = match[group]
         start = match.start(group)
         if group == 1:
-            try:
-                tokens.append(("num", int(lexeme), start))
-            except ValueError:  # beyond the interpreter's int() digit limit
-                raise _error(f"number of {len(lexeme)} digits is too long", text, line, start) from None
+            tokens.append(("num", _natural(lexeme, text, line, start), start))
         elif group == 2:
             tokens.append(("name", lexeme, start))
         elif group == 3:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import parsing
 from .polynomials import NEG_INFINITY, Polynomial, divide_homogeneous
 
 
@@ -90,8 +91,6 @@ class BracketValue:
 def format_bracket(b: BracketValue, names: Sequence[str] | None = None) -> str:
     """Render as `(<poly>)·[x,y] + (<poly>)·[x,z] + ...`, pairs in
     lexicographic index order.  The zero bracket renders as `0`."""
-    from . import parsing
-
     names = parsing.validate_names(names if names is not None else parsing.default_names(b.arity))
     if len(names) != b.arity:
         raise ValueError(f"{len(names)} names given for arity {b.arity}")

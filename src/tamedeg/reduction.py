@@ -356,7 +356,6 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
                         break
             if result is not None or len(keep) == len(free):
                 return result
-        return None
 
     # Search the most constrained system first.  When all its solutions
     # collapse to residuals of degree < 1, back off one level at a time:

@@ -242,6 +242,9 @@ class TestLeadingFormCertificate:
     @example(word=example_word(), certified=False)
     @example(word=witness_semigroup(3, 5, (2, 1)), certified=True)
     @example(word=witness_linear_first(4, 9), certified=True)
+    # the shift's top part cancels below the component's own degree 5
+    @example(word=[ElementaryStep(0, Fraction(1), z**5), ElementaryStep(1, Fraction(1), z**2),
+                   ElementaryStep(0, Fraction(1), y - z**2)], certified=True)
     def test_certificate_is_empty_or_exact(self, word, certified):
         got = automorphisms._leading_mdeg(word)
         assert got is None or got == compose_word(word).mdeg()
@@ -295,6 +298,11 @@ class TestWordFiles:
         parsed, names = parse_word_file(text)
         assert parsed == word
         assert names == ("x", "y", "z")
+
+    @settings(max_examples=100, deadline=None)
+    @given(word=tame_words())
+    def test_any_word_round_trips(self, word):
+        assert parse_word_file(format_word_file(word, ("x", "y", "z"))) == (word, ("x", "y", "z"))
 
     def test_example_word_round_trips(self):
         word = example_word()

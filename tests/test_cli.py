@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -11,6 +14,7 @@ from tamedeg import cli
 from tamedeg.cli import main
 from tamedeg.parsing import format_map_file, format_polynomial
 from tamedeg.automorphisms import build_example_map, example_word, format_word_file
+from tamedeg.decision import sorted_triples
 from tamedeg.verify import BRACKET_XY, BRACKET_XZ, BRACKET_YZ
 
 
@@ -484,6 +488,31 @@ class TestMdegAndCompose:
         assert payload["mdeg"] == [3, 5, 11]
         assert len(payload["components"]) == 3
 
+    @pytest.mark.parametrize("line, column, reason", [
+        ("elem ٢ 1 x^2", 6, "expected a natural number, got '٢'"),
+        ("elem 2 1e2 x^2", 8, "expected a rational number, got '1e2'"),
+        ("elem 2 1.5 x", 8, "expected a rational number, got '1.5'"),
+        ("elem 2 1_0 x", 8, "expected a rational number, got '1_0'"),
+        ("perm ٣ 1 2", 6, "expected a natural number, got '٣'"),
+        ("elem 2 1/0 x", 10, "zero denominator"),
+        ("elem 2 0 x", 8, "elementary steps need a nonzero scalar"),
+        ("elem 4 1 x", 6, "component index 4 out of range 1..3"),
+        ("elem 2 1 y", 10, "the shift depends on its own variable y"),
+        ("perm 1 1 2", 6, "perm lines need a permutation of 1..3"),
+        pytest.param("elem 2 " + "7" * 5000 + " x", 8, "number of 5000 digits is too long", id="5000-digit-scalar"),
+    ])
+    def test_word_field_error_names_its_column(self, capsys, tmp_path, line, column, reason):
+        path = tmp_path / "word.txt"
+        path.write_text(f"vars: x, y, z\n{line}\n", encoding="utf-8")
+        assert run(capsys, "compose", str(path)) == (2, "", f"parse error: line 2, column {column}: {reason}\n")
+
+    def test_signed_scalar_parses(self, capsys, tmp_path):
+        path = tmp_path / "word.txt"
+        path.write_text("vars: x, y, z\nelem 2 +1 x\n", encoding="utf-8")
+        code, out, _ = run(capsys, "compose", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["components"] == ["x", "x + y", "z"]
+
     def test_bad_word_file(self, capsys, tmp_path):
         path = tmp_path / "word.txt"
         path.write_text("vars: x, y, z\nelem 4 1 z\n", encoding="utf-8")
@@ -508,6 +537,18 @@ class TestVerifyExample:
         assert payload["passed"] is True
         assert len(payload["checks"]) == 12
         assert all(c["passed"] is True for c in payload["checks"])
+
+
+class TestDigest:
+    def test_decision_digest_to_20(self):
+        # `decide --json --witness` on every sorted triple with d3 <= 20,
+        # concatenated in sorted_triples order
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            for triple in sorted_triples(20):
+                assert main(["decide", *map(str, triple), "--json", "--witness"]) == 0
+        digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        assert digest == "fc7756526cf7babb17942a78239aaec3f4f5ea507f3ddf9b22edb6c767da09b9"
 
 
 class TestUsage:
