@@ -27,12 +27,16 @@ from operator import mul
 from typing import Sequence, Union
 
 from . import parsing
-from .polynomials import Polynomial, variables
+from .polynomials import Polynomial, _coerce, variables
 
 
 @dataclass(frozen=True)
 class ElementaryStep:
-    """Replace component `index` (0-based) by scalar*F_index + shift(F)."""
+    """Replace component `index` (0-based) by scalar*F_index + shift(F).
+
+    The scalar must be a nonzero int or Fraction, like a polynomial
+    coefficient; a float or str raises TypeError.
+    """
 
     index: int
     scalar: Fraction
@@ -41,7 +45,7 @@ class ElementaryStep:
     def __post_init__(self):
         if not isinstance(self.shift, Polynomial):
             raise TypeError("shift must be a Polynomial")
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
+        object.__setattr__(self, "scalar", _coerce(self.scalar))
         if self.scalar == 0:
             raise ValueError("elementary steps need a nonzero scalar")
         n = self.shift.arity

@@ -110,10 +110,12 @@ def decide(triple: Sequence[int]) -> Decision:
     answer through SemigroupMember or EqualFirstPair, and d1 = 1 and
     (10, 23, 25), carries a witness word already verified to have the
     right multidegree (automorphisms._checked).  The check reads the
-    multidegree off the leading forms of the steps, which takes
-    O(log d3) polynomial products for SemigroupMember and d1 = 1
-    words.  Where a top form cancels at or above the degree of the
-    component it replaces, as in every EqualFirstPair word and in the
+    multidegree off the leading forms of the steps.  For SemigroupMember
+    and d1 = 1 words every polynomial there has at most two terms and
+    every power has one, so the check takes a fixed number of term
+    operations (Polynomial's one-term paths), independent of d3.
+    Where a top form cancels at or above the degree of the component
+    it replaces, as in every EqualFirstPair word and in the
     (10, 23, 25) word, it composes the word in full instead.
     The exclusion rules test d2 and d3 for primality once each, with
     the deterministic Miller-Rabin test of _is_prime; a degree at or

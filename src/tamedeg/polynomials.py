@@ -10,10 +10,16 @@ empty term mapping and degree NEG_INFINITY, so that
 
 hold with no special cases (NEG_INFINITY absorbs addition and orders
 below every integer).
+
+One-term operands take an O(terms) path: a product with a one-term
+polynomial shifts the other factor's exponents and scales its
+coefficients, and a one-term power scales the exponent tuple and powers
+the coefficient, so x^s * y^t or z^d costs no repeated squaring.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -217,6 +223,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_arity(other)
+        if len(self._terms) == 1 or len(other._terms) == 1:
+            # Shifting by one monomial is injective and a product of
+            # nonzero Fractions is nonzero: no merging, no zero check.
+            single, many = (other, self) if len(other._terms) == 1 else (self, other)
+            ((mb, cb),) = single._terms.items()
+            if any(mb):
+                terms = {tuple(a + b for a, b in zip(ma, mb)): ca * cb for ma, ca in many._terms.items()}
+            else:
+                terms = {ma: ca * cb for ma, ca in many._terms.items()}
+            degree = None if many._degree is None else many._degree + sum(mb)
+            return Polynomial._from_clean(self._arity, terms, degree)
         terms: dict[Monomial, Fraction] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
@@ -233,6 +250,10 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        if len(self._terms) == 1:
+            ((m, c),) = self._terms.items()
+            return Polynomial._from_clean(self._arity, {tuple(e * exponent for e in m): c ** exponent},
+                                          sum(m) * exponent)
         result = Polynomial.constant(1, self._arity)
         base = self
         e = exponent
@@ -276,8 +297,9 @@ class Polynomial:
                 table[e] = table[previous] * step if previous else step
             powers.append(table)
         result = Polynomial.zero(target_arity)
+        one = (0,) * target_arity
         for m, c in self._terms.items():
-            prod = Polynomial.constant(c, target_arity)
+            prod = Polynomial._from_clean(target_arity, {one: c}, 0)
             for i, e in enumerate(m):
                 if e:
                     prod = prod * powers[i][e]
@@ -314,8 +336,10 @@ class Polynomial:
         return f"Polynomial({str(self)!r}, arity={self._arity})"
 
 
+@functools.cache
 def variables(arity: int) -> tuple[Polynomial, ...]:
-    """The coordinate polynomials (x_0, ..., x_{arity-1})."""
+    """The coordinate polynomials (x_0, ..., x_{arity-1}), built once per
+    arity (polynomials are immutable, so the tuple is shared)."""
     return tuple(Polynomial.variable(i, arity) for i in range(arity))
 
 

@@ -84,6 +84,17 @@ class TestSteps:
         with pytest.raises(ValueError):
             ElementaryStep(0, Fraction(0), y)
 
+    @pytest.mark.parametrize("scalar", [0.1, 2.0, "2/3"])
+    def test_scalar_must_be_exact(self, scalar):
+        # Floats and strings are refused, as polynomial coefficients are.
+        with pytest.raises(TypeError):
+            ElementaryStep(0, scalar, y)
+
+    def test_integer_scalar_becomes_fraction(self):
+        step = ElementaryStep(0, 2, y)
+        assert step.scalar == Fraction(2)
+        assert isinstance(step.scalar, Fraction)
+
     def test_index_range(self):
         with pytest.raises(ValueError):
             ElementaryStep(3, Fraction(1), y)

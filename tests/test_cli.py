@@ -550,6 +550,20 @@ class TestDigest:
         digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
         assert digest == "fc7756526cf7babb17942a78239aaec3f4f5ea507f3ddf9b22edb6c767da09b9"
 
+    def test_decision_digest_large_d3(self):
+        # `decide --json --witness` where the certificate raises one-term
+        # shifts to high powers: d3 in (100, 331, 600) for d1 in 3..12 and
+        # d2 in d1+1..30, then single triples up to d3 = 10**12
+        triples = [(d1, d2, d3) for d1 in range(3, 13) for d2 in range(d1 + 1, 31) for d3 in (100, 331, 600)]
+        triples += [(3, 5, 2000), (3, 5, 10**12), (7, 11, 10**9), (1, 4, 10**6), (10, 23, 25)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            for triple in triples:
+                assert main(["decide", *map(str, triple), "--json", "--witness"]) == 0
+        data = stdout.getvalue().encode()
+        assert len(data) == 159_210
+        assert hashlib.sha256(data).hexdigest() == "84c8c39fa0c5e192bc3e2fc0743db37cb4e96ab6bd8c5decc2a01579a2fec924"
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

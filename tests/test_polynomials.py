@@ -301,6 +301,79 @@ class TestRingAxioms:
             assert hash(p) == hash(q)
 
 
+def expand(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q term by term through the validating constructor, which
+    merges equal monomials and drops zero sums."""
+    return Polynomial(p.arity, [(tuple(a + b for a, b in zip(mp, mq)), cp * cq)
+                                for mp, cp in p.terms().items() for mq, cq in q.terms().items()])
+
+
+def stored_degree_is_exact(p: Polynomial) -> bool:
+    return p.degree() == max((sum(m) for m in p.terms()), default=NEG_INFINITY)
+
+
+one_terms = st.builds(Polynomial.monomial, monomials, fractions.filter(bool))
+any_polynomials = st.one_of(
+    st.just(Polynomial.zero(3)),
+    fractions.map(lambda c: Polynomial.constant(c, 3)),
+    one_terms,
+    polynomials,
+)
+small_scalars = st.sampled_from([1, -1, 2, Fraction(-1, 2), Fraction(3, 2)])
+
+
+class TestOneTermPaths:
+    """The O(terms) paths for one-term operands agree with the general ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_polynomials, st.integers(0, 6))
+    def test_power_is_repeated_product(self, p, k):
+        product = Polynomial.constant(1, 3)
+        expanded = Polynomial.constant(1, 3)
+        for _ in range(k):
+            product = product * p
+            expanded = expand(expanded, p)
+        power = p ** k
+        assert power == product == expanded
+        assert stored_degree_is_exact(power)
+
+    @settings(max_examples=30, deadline=None)
+    @given(monomials, small_scalars, st.integers(0, 10**6))
+    def test_large_one_term_power(self, m, c, k):
+        power = Polynomial.monomial(m, c) ** k
+        ((exponents, coeff),) = power.terms().items()
+        assert exponents == tuple(e * k for e in m)
+        c = Fraction(c)
+        assert (coeff.numerator, coeff.denominator) == (c.numerator ** k, c.denominator ** k)
+        assert power.degree() == sum(m) * k
+        assert stored_degree_is_exact(power)
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_terms, any_polynomials)
+    def test_one_term_product_both_orders(self, single, p):
+        expected = expand(single, p)
+        for _ in range(2):
+            for product in (single * p, p * single):
+                assert product == expected
+                assert stored_degree_is_exact(product)
+            p.degree()  # the second round carries p's cached degree
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_polynomials, any_polynomials, any_polynomials)
+    def test_compose_degree_is_exact(self, p, q, r):
+        # compose builds its term products from one-term constants.
+        assert stored_degree_is_exact(p.compose([q, r, q * r]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(fractions, monomials, st.integers(0, 8))
+    def test_constant_power_hashes_like_its_value(self, c, m, k):
+        power = Polynomial.constant(c, 3) ** k
+        assert power == c ** k
+        assert hash(power) == hash(c ** k)
+        # Any one-term polynomial to the power 0 is the constant 1.
+        assert hash(Polynomial.monomial(m, 5) ** 0) == hash(1)
+
+
 def test_str_uses_canonical_form():
     g = z + 3 * x**2 * y + 3 * x * y**3 + y**5
     assert str(g) == "y^5 + 3*x*y^3 + 3*x^2*y + z"
