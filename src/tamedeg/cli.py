@@ -15,11 +15,10 @@ expression, possibly wrapped over several lines, with `#` comments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
-import os
 import sys
 
 from . import automorphisms, decision, parsing, poisson, reduction, semigroup, verify
@@ -44,27 +43,6 @@ def _polynomial_argument(parser: argparse.ArgumentParser, raw: str, names, from_
     if len(raw) > INLINE_LIMIT:
         parser.error(f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
     return parsing.parse_polynomial(raw, names)
-
-
-def _scan_workers() -> int | None:
-    raw = os.environ.get("TAME_MDEG_THREADS")
-    if raw is None:
-        return os.cpu_count()
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TAME_MDEG_THREADS must be an integer, got {raw!r}") from exc
-    # The pool forks every worker up front, so never ask for more than
-    # the machine has cores.
-    return max(1, min(value, os.cpu_count() or 1))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
 
 
 def _finite(value: int | float) -> int | None:
@@ -113,18 +91,16 @@ def _cmd_decide(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    rows = decision.scan_rows(decision.scan(args.max, workers=_scan_workers()))
-    if args.format == "json":
-        text = json.dumps(rows)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        header = ["d1", "d2", "d3", "verdict", "reason", "s", "t", "witness_len"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if row[key] is None else row[key] for key in header])
-        text = buffer.getvalue().rstrip("\n")
-    _emit(text, args.out)
+    rows = decision.scan_rows(decision.scan(args.max))
+    out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with out as handle:
+        if args.format == "json":
+            handle.write(json.dumps(rows) + "\n")
+        else:
+            header = ["d1", "d2", "d3", "verdict", "reason", "s", "t", "witness_len"]
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(["" if row[key] is None else row[key] for key in header] for row in rows)
     return 0
 
 

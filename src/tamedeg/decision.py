@@ -21,6 +21,7 @@ Reason tags are stable identifiers used in CSV/JSON output:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -175,23 +176,35 @@ def sorted_triples(max_degree: int) -> Iterable[tuple[int, int, int]]:
                 yield (d1, d2, d3)
 
 
-def scan(max_degree: int, workers: int | None = None) -> list[Decision]:
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def scan(max_degree: int) -> list[Decision]:
     """Decisions for every sorted triple with d3 <= max_degree.
 
-    Output order is deterministic, ascending in (d3, d2, d1), whatever
-    the worker count.  workers=None runs serially.
+    Output order is deterministic, ascending in (d3, d2, d1).  The scan
+    runs on min(cores, number of triples) worker processes, where cores
+    is the number of CPUs this process may run on; with one worker it
+    runs in this process.  The result never depends on the count.  On
+    platforms that spawn worker processes instead of forking them, a
+    script that calls scan must guard its entry point with
+    `if __name__ == "__main__":`.
     """
     if not isinstance(max_degree, int) or max_degree < 3:
         raise ValueError(f"scan needs max_degree >= 3, got {max_degree!r}")
     triples = list(sorted_triples(max_degree))
-    if workers is not None and workers > 1:
-        # The pool forks all its workers at the first submit; more
-        # than one per triple would sit idle.
-        workers = min(workers, len(triples))
-        chunk = max(1, len(triples) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(decide, triples, chunksize=chunk))
-    return [decide(t) for t in triples]
+    # The pool forks all its workers at the first submit; more than one
+    # per triple would sit idle.
+    workers = min(_cores(), len(triples))
+    if workers == 1:
+        return [decide(t) for t in triples]
+    chunk = max(1, len(triples) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(decide, triples, chunksize=chunk))
 
 
 def scan_rows(decisions: Iterable[Decision]) -> list[dict]:

@@ -45,15 +45,10 @@ def canonical_key(monomial: Monomial) -> tuple:
 
     Total degree descending, ties broken lexicographically with earlier
     variables heavier (x > y > z).  Used everywhere a polynomial is
-    rendered or iterated deterministically.
+    rendered or iterated deterministically; min() under it picks the
+    graded-lex leading term, as leading-term division needs.
     """
     return (-sum(monomial), tuple(-e for e in monomial))
-
-
-def _grlex_key(monomial: Monomial) -> tuple:
-    # Graded lex, used internally where a multiplicative order is needed
-    # (leading-term division).  max() under this key picks the leading term.
-    return (sum(monomial), monomial)
 
 
 class Polynomial:
@@ -217,9 +212,7 @@ class Polynomial:
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            if not c:
-                return Polynomial.zero(self._arity)
-            return Polynomial._from_clean(self._arity, {m: c * v for m, v in self._terms.items()}, self._degree)
+            other = Polynomial._from_clean(self._arity, {(0,) * self._arity: c} if c else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_arity(other)
@@ -357,14 +350,14 @@ def divide_homogeneous(f: Polynomial, d: Polynomial) -> Polynomial | None:
         raise ValueError("divide_homogeneous requires homogeneous inputs")
     if f.degree() < d.degree():
         return None
-    lead_d = max(d._terms, key=_grlex_key)
+    lead_d = min(d._terms, key=canonical_key)
     coeff_d = d._terms[lead_d]
     remainder = f
     quotient: dict[Monomial, Fraction] = {}
     # Standard leading-term elimination; since d is homogeneous, failure
     # of the exponent-wise comparison at any step certifies non-divisibility.
     while remainder:
-        lead_r = max(remainder._terms, key=_grlex_key)
+        lead_r = min(remainder._terms, key=canonical_key)
         diff = tuple(a - b for a, b in zip(lead_r, lead_d))
         if any(e < 0 for e in diff):
             return None

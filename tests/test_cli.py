@@ -18,11 +18,6 @@ from tamedeg.decision import sorted_triples
 from tamedeg.verify import BRACKET_XY, BRACKET_XZ, BRACKET_YZ
 
 
-@pytest.fixture(autouse=True)
-def serial_scans(monkeypatch):
-    monkeypatch.setenv("TAME_MDEG_THREADS", "1")
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -131,21 +126,19 @@ class TestScan:
         assert code == 1
         assert "max_degree" in err
 
-    def test_bad_worker_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAME_MDEG_THREADS", "many")
-        code, _, err = run(capsys, "scan", "--max", "5")
-        assert code == 1
-        assert "TAME_MDEG_THREADS" in err
-
-    def test_worker_count_clamped_to_cores(self, monkeypatch):
-        # reads the setting only; no pool is started
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        for raw, workers in (("100000", 4), ("3", 3), ("0", 1), ("-5", 1)):
-            monkeypatch.setenv("TAME_MDEG_THREADS", raw)
-            assert cli._scan_workers() == workers
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        monkeypatch.setenv("TAME_MDEG_THREADS", "8")
-        assert cli._scan_workers() == 1
+    def test_output_does_not_depend_on_cores(self, capsys, monkeypatch, tmp_path):
+        outputs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(cli.decision, "_cores", lambda: cores)
+            for fmt in ("csv", "json"):
+                code, out, _ = run(capsys, "scan", "--max", "8", "--format", fmt)
+                assert code == 0
+                path = tmp_path / f"rows_{cores}.{fmt}"
+                assert run(capsys, "scan", "--max", "8", "--format", fmt, "--out", str(path)) == (0, "", "")
+                assert path.read_bytes() == out.encode("utf-8")
+                outputs[cores, fmt] = out
+        for fmt in ("csv", "json"):
+            assert outputs[1, fmt] == outputs[2, fmt]
 
 
 class TestBracket:

@@ -223,10 +223,14 @@ class TestScan:
             if d.witness is not None:
                 assert compose_word(list(d.witness)).mdeg() == d.triple
 
-    def test_worker_count_does_not_change_results(self):
-        assert scan(8, workers=2) == scan(8)
+    def test_core_count_does_not_change_results(self, monkeypatch):
+        results = []
+        for cores in (1, 2):
+            monkeypatch.setattr(decision, "_cores", lambda: cores)
+            results.append(scan(8))
+        assert results[0] == results[1]
 
-    def test_worker_count_clamped_to_triples(self, monkeypatch):
+    def test_pool_size_follows_cores(self, monkeypatch):
         # the pool forks all of max_workers at its first submit, so a
         # 10-triple scan must not ask for 64; the fake maps serially and
         # starts no process
@@ -246,8 +250,12 @@ class TestScan:
                 return map(fn, items)
 
         monkeypatch.setattr(decision, "ProcessPoolExecutor", SerialPool)
-        assert scan(3, workers=64) == scan(3)
-        assert len(scan(3)) == 10
+        monkeypatch.setattr(decision, "_cores", lambda: 64)
+        pooled = scan(3)
+        assert len(pooled) == 10
+        assert requested == [10]
+        monkeypatch.setattr(decision, "_cores", lambda: 1)
+        assert scan(3) == pooled
         assert requested == [10]
 
     def test_max_degree_validation(self):

@@ -358,6 +358,17 @@ class TestOneTermPaths:
                 assert stored_degree_is_exact(product)
             p.degree()  # the second round carries p's cached degree
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.just(0), st.integers(-50, 50), fractions), any_polynomials)
+    def test_scalar_product_is_constant_product(self, c, p):
+        # An int or Fraction factor takes the one-term path as a constant.
+        constant = Polynomial.constant(c, 3)
+        expected = expand(constant, p)
+        for product in (c * p, p * c, constant * p):
+            assert product == expected
+            assert product.degree() == expected.degree()
+            assert stored_degree_is_exact(product)
+
     @settings(max_examples=100, deadline=None)
     @given(any_polynomials, any_polynomials, any_polynomials)
     def test_compose_degree_is_exact(self, p, q, r):
