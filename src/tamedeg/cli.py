@@ -109,14 +109,10 @@ def _cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     f = _polynomial_argument(parser, args.f, names, args.file)
     g = _polynomial_argument(parser, args.g, names, args.file)
     bracket = poisson.poisson_bracket(f, g)
-    text = poisson.format_bracket(bracket, names)
-    degree = _finite(bracket.degree())
+    coefficients = poisson.format_coefficients(bracket, names)
+    text = poisson.join_coefficients(coefficients)
     if args.json:
-        coefficients = {
-            f"[{names[i]},{names[j]}]": parsing.format_polynomial(coeff, names)
-            for (i, j), coeff in bracket.items()
-        }
-        print(json.dumps({"bracket": text, "coefficients": coefficients, "degree": degree}))
+        print(json.dumps({"bracket": text, "coefficients": coefficients, "degree": _finite(bracket.degree())}))
     else:
         print(text)
         print(f"degree: {bracket.degree()}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import parsing
 from .polynomials import NEG_INFINITY, Polynomial, divide_homogeneous
@@ -88,18 +88,25 @@ class BracketValue:
         return f"BracketValue({body})"
 
 
-def format_bracket(b: BracketValue, names: Sequence[str] | None = None) -> str:
-    """Render as `(<poly>)·[x,y] + (<poly>)·[x,z] + ...`, pairs in
-    lexicographic index order.  The zero bracket renders as `0`."""
+def format_coefficients(b: BracketValue, names: Sequence[str] | None = None) -> dict[str, str]:
+    """Render each nonzero coefficient once, keyed by its basis symbol
+    `[x,y]`, pairs in lexicographic index order."""
     names = parsing.validate_names(names if names is not None else parsing.default_names(b.arity))
     if len(names) != b.arity:
         raise ValueError(f"{len(names)} names given for arity {b.arity}")
-    if b.is_zero:
-        return "0"
-    pieces = []
-    for (i, j), poly in b.items():
-        pieces.append(f"({parsing.format_polynomial(poly, names)})·[{names[i]},{names[j]}]")
-    return " + ".join(pieces)
+    return {f"[{names[i]},{names[j]}]": parsing.format_polynomial(poly, names) for (i, j), poly in b.items()}
+
+
+def join_coefficients(coefficients: Mapping[str, str]) -> str:
+    """Join the output of format_coefficients as `(<poly>)·[x,y] + ...`;
+    no coefficients give `0`."""
+    return " + ".join(f"({text})·{symbol}" for symbol, text in coefficients.items()) or "0"
+
+
+def format_bracket(b: BracketValue, names: Sequence[str] | None = None) -> str:
+    """Render as `(<poly>)·[x,y] + (<poly>)·[x,z] + ...`, pairs in
+    lexicographic index order.  The zero bracket renders as `0`."""
+    return join_coefficients(format_coefficients(b, names))
 
 
 def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,8 +202,93 @@ class TestPolyMap:
                 others = [v for k, v in enumerate(variables(3)) if k != index]
                 shift = others[0] * others[1] ** rng.randint(0, 2)
                 word.append(ElementaryStep(index, Fraction(rng.choice([1, 3, -2])), shift))
-            det = compose_word(word).jacobian_det()
-            assert det.degree() == 0
+            # chain rule: each step's own Jacobian has determinant its scalar
+            assert compose_word(word).jacobian_det() == prod(step.scalar for step in word)
+
+
+def leibniz(matrix):
+    """The determinant as a sum over permutations, signed by inversions."""
+    n = len(matrix)
+    total = Polynomial.zero(matrix[0][0].arity)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total + (-1) ** inversions * prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def bivariate(terms):
+    """The sum of c * x^a * y^b over (a, b, c) in terms."""
+    x2, y2 = variables(2)
+    return sum((c * x2 ** a * y2 ** b for a, b, c in terms), Polynomial.zero(2))
+
+
+# zero in about one draw of five
+SMALL_POLYNOMIALS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=4,
+).map(bivariate)
+
+
+@st.composite
+def polynomial_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [[draw(SMALL_POLYNOMIALS) for _ in range(n)] for _ in range(n)]
+
+
+class TestDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=polynomial_matrices())
+    @example(matrix=build_example_map().jacobian())
+    def test_matches_leibniz(self, matrix):
+        assert automorphisms._determinant(matrix) == leibniz(matrix)
+
+    def test_every_row_is_an_expansion_row(self):
+        # The row the top level expands along shows in the minor of its
+        # first recursive call: entries are distinct and nonzero, so only
+        # one (row, column) pair leaves that minor.
+        rng = random.Random(13)
+        chosen = {n: set() for n in (2, 3, 4)}
+        determinant = automorphisms._determinant
+        for n in (2, 3, 4):
+            for _ in range(60):
+                entries = set()
+                while len(entries) < n * n:
+                    terms = [(rng.randint(0, 2), rng.randint(0, 2), rng.choice((-2, -1, 1, 3)))
+                             for _ in range(rng.randint(1, 4))]
+                    poly = bivariate(terms)
+                    if not poly.is_zero:
+                        entries.add(poly)
+                entries = list(entries)
+                rng.shuffle(entries)
+                matrix = [entries[i * n:(i + 1) * n] for i in range(n)]
+                minors = []
+
+                def recording(m):
+                    minors.append(m)
+                    return determinant(m)
+
+                with mock.patch.object(automorphisms, "_determinant", recording):
+                    assert determinant(matrix) == leibniz(matrix)
+                rows = [r for r in range(n) for c in range(n)
+                        if [[matrix[i][j] for j in range(n) if j != c] for i in range(n) if i != r] == minors[0]]
+                assert len(rows) == 1
+                chosen[n].add(rows[0])
+        assert chosen == {n: set(range(n)) for n in (2, 3, 4)}
+
+    def test_example_jacobian_term_pairs(self, example_map):
+        # term pairs as the benchmark's tracer counts them; expanding along
+        # the gradient of f1 took 23,629
+        pairs = 0
+        multiply = Polynomial.__mul__
+
+        def counting(a, b):
+            nonlocal pairs
+            pairs += len(a) * (len(b) if isinstance(b, Polynomial) else 1)
+            return multiply(a, b)
+
+        with mock.patch.object(Polynomial, "__mul__", counting):
+            det = example_map.jacobian_det()
+        assert det == -1
+        assert pairs <= 3_000
 
 
 class TestWitnesses:

@@ -20,6 +20,7 @@ from tamedeg import (
     su_bound,
     variables,
 )
+from tamedeg.poisson import format_coefficients, join_coefficients
 
 x, y, z = variables(3)
 u, v = variables(2)
@@ -293,3 +294,14 @@ class TestFormatBracket:
             " + (-6*y^4 - 12*x*y^2 - 6*x^2)·[x,z]"
             " + (-10*y^5 - 18*x*y^3 - 6*x^2*y + 2*z)·[y,z]"
         )
+
+    def test_coefficients_and_their_join(self, example_map):
+        f1, _, f3 = example_map.components
+        b = poisson_bracket(f1, f3)
+        coefficients = format_coefficients(b, ("a", "b", "c"))
+        assert list(coefficients) == ["[a,b]", "[a,c]", "[b,c]"]
+        assert coefficients["[a,c]"] == "-6*b^4 - 12*a*b^2 - 6*a^2"
+        assert join_coefficients(coefficients) == format_bracket(b, ("a", "b", "c"))
+        assert format_coefficients(poisson_bracket(x, x)) == {}
+        with pytest.raises(ValueError):
+            format_coefficients(b, ("a", "b"))
