@@ -7,13 +7,13 @@ searches for elementary reductions of explicit polynomial maps.
 """
 
 from .polynomials import NEG_INFINITY, Polynomial, divide_homogeneous, variables
-from .parsing import ParseError, format_map_file, format_polynomial, parse_map_file, parse_polynomial
+from .parsing import (ParseError, format_bracket, format_map_file, format_polynomial, format_word_file,
+                      parse_map_file, parse_polynomial, parse_word_file)
 from .poisson import (
     BracketValue,
     PairCheck,
     SuReport,
     algebraically_dependent,
-    format_bracket,
     is_star_reduced,
     is_weak_pair,
     poisson_bracket,
@@ -27,10 +27,8 @@ from .automorphisms import (
     build_example_map,
     compose_word,
     example_word,
-    format_word_file,
     invert_word,
     mdeg,
-    parse_word_file,
     witness_equal_pair,
     witness_linear_first,
     witness_semigroup,
@@ -45,15 +43,17 @@ __all__ = [
     "divide_homogeneous",
     "variables",
     "ParseError",
+    "format_bracket",
     "format_map_file",
     "format_polynomial",
+    "format_word_file",
     "parse_map_file",
     "parse_polynomial",
+    "parse_word_file",
     "BracketValue",
     "PairCheck",
     "SuReport",
     "algebraically_dependent",
-    "format_bracket",
     "is_star_reduced",
     "is_weak_pair",
     "poisson_bracket",
@@ -66,10 +66,8 @@ __all__ = [
     "build_example_map",
     "compose_word",
     "example_word",
-    "format_word_file",
     "invert_word",
     "mdeg",
-    "parse_word_file",
     "witness_equal_pair",
     "witness_linear_first",
     "witness_semigroup",

@@ -6,28 +6,17 @@ current map (F_1, ..., F_n) to the map whose i-th component is
 a*F_i + s(F_1, ..., F_n); the shift polynomial must not involve
 variable i, so the step is invertible.  A permutation step rearranges
 components.  Composing a word therefore yields the automorphism
-step_k o ... o step_1.
-
-Word files mirror map files: a `vars:` header, then one step per line,
-
-    elem <i> <alpha> <shift polynomial>     (1-based component index)
-    perm <p1> ... <pn>                      (new j-th component = old p_j-th)
-
-with `#` comments allowed anywhere.  Indices are ASCII naturals and
-scalars ASCII rationals, as in polynomial text; errors name their
-field's line and column.
+step_k o ... o step_1.  `parsing` reads and writes words as word files.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import mul
 from typing import Sequence, Union
 
-from . import parsing
 from .polynomials import Polynomial, _coerce, variables
 
 
@@ -176,7 +165,7 @@ def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
-def _step_arity(step: TameStep) -> int:
+def step_arity(step: TameStep) -> int:
     if isinstance(step, (ElementaryStep, PermutationStep)):
         return step.arity
     raise TypeError(f"not a tame step: {step!r}")
@@ -190,11 +179,11 @@ def compose_word(steps: Sequence[TameStep], arity: int | None = None) -> PolyMap
     """
     steps = list(steps)
     if arity is None:
-        arity = _step_arity(steps[0]) if steps else 3
+        arity = step_arity(steps[0]) if steps else 3
     components = tuple(variables(arity))
     for step in steps:
-        if _step_arity(step) != arity:
-            raise ValueError(f"step arity {_step_arity(step)} does not match word arity {arity}")
+        if step_arity(step) != arity:
+            raise ValueError(f"step arity {step_arity(step)} does not match word arity {arity}")
         components = step.apply(components)
     return PolyMap(components)
 
@@ -228,7 +217,7 @@ def _leading_mdeg(steps: Sequence[TameStep]) -> tuple[int, ...] | None:
     each variable weighted by its form's degree (Shestakov-Umirbaev):
     when the new component reaches that degree, its leading form is the new LF_i.
     """
-    forms = variables(_step_arity(steps[0]) if steps else 3)
+    forms = variables(step_arity(steps[0]) if steps else 3)
     for step in steps:
         weights = [f.degree() for f in forms]
         forms = step.apply(forms)
@@ -349,50 +338,3 @@ def example_word() -> list[TameStep]:
     ]
     return steps
 
-
-# ---- word files ----
-
-
-def parse_word_file(text: str) -> tuple[list[TameStep], tuple[str, ...]]:
-    lines, names = parsing.read_vars_header(text, "word file", "the first step")
-    arity = len(names)
-    steps: list[TameStep] = []
-    for lineno, line in lines:
-        fields = list(re.finditer(r"\S+", line))
-        kind = fields[0][0]
-        if kind == "elem":
-            if len(fields) < 4:
-                raise parsing._error("elem lines need an index, a scalar and a shift polynomial", line, lineno, len(line))
-            index = parsing._numeral(line, lineno, *fields[1].span())
-            if not 1 <= index <= arity:
-                raise parsing._error(f"component index {index} out of range 1..{arity}", line, lineno, fields[1].start())
-            scalar = parsing._numeral(line, lineno, *fields[2].span(), rational=True)
-            if scalar == 0:
-                raise parsing._error("elementary steps need a nonzero scalar", line, lineno, fields[2].start())
-            shift = parsing.parse_polynomial(line, names, lineno, fields[3].start())
-            if any(m[index - 1] for m in shift.terms()):
-                raise parsing._error(f"the shift depends on its own variable {names[index - 1]}", line, lineno, fields[3].start())
-            steps.append(ElementaryStep(index - 1, scalar, shift))
-        elif kind == "perm":
-            images = [parsing._numeral(line, lineno, *field.span()) for field in fields[1:]]
-            if sorted(images) != list(range(1, arity + 1)):
-                raise parsing._error(f"perm lines need a permutation of 1..{arity}", line, lineno,
-                                     fields[1].start() if images else len(line))
-            steps.append(PermutationStep(tuple(i - 1 for i in images)))
-        else:
-            raise parsing._error(f"unknown step kind {kind!r} (expected 'elem' or 'perm')", line, lineno, fields[0].start())
-    return steps, names
-
-
-def format_word_file(steps: Sequence[TameStep], names: Sequence[str]) -> str:
-    names = parsing.validate_names(names)
-    lines = [f"vars: {', '.join(names)}"]
-    for step in steps:
-        if _step_arity(step) != len(names):
-            raise ValueError(f"step arity {_step_arity(step)} does not match {len(names)} names")
-        if isinstance(step, ElementaryStep):
-            shift = parsing.format_polynomial(step.shift, names)
-            lines.append(f"elem {step.index + 1} {step.scalar} {shift}")
-        else:
-            lines.append("perm " + " ".join(str(i + 1) for i in step.images))
-    return "\n".join(lines) + "\n"

@@ -7,9 +7,8 @@ internal check), 2 usage or parse error.
 Results go to stdout, diagnostics to stderr, and identical invocations
 produce byte-identical output.
 
-Polynomial arguments longer than 200 characters must come from files
-(pass paths and the --file flag); a polynomial file holds one
-expression, possibly wrapped over several lines, with `#` comments.
+Polynomial arguments longer than 200 characters must come from
+polynomial files (pass paths and the --file flag).
 """
 
 from __future__ import annotations
@@ -33,15 +32,11 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _polynomial_argument(parser: argparse.ArgumentParser, raw: str, names, from_file: bool) -> Polynomial:
+def _polynomial_argument(raw: str, names, from_file: bool) -> Polynomial:
     if from_file:
-        # One text with comments cut; to the parser, newlines are blanks.
-        text = "\n".join(line.split("#", 1)[0] for line in _read_text(raw).splitlines()).rstrip()
-        if not text:
-            raise parsing.ParseError(f"no polynomial found in {raw!r}", 1, 1)
-        return parsing.parse_polynomial(text, names)
+        return parsing.parse_polynomial_file(_read_text(raw), names, raw)
     if len(raw) > INLINE_LIMIT:
-        parser.error(f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
+        _parser().error(f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
     return parsing.parse_polynomial(raw, names)
 
 
@@ -53,12 +48,12 @@ def _finite(value: int | float) -> int | None:
 # ---- subcommand handlers ----
 
 
-def _cmd_decide(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_decide(args: argparse.Namespace) -> int:
     triple = decision.normalize_triple([args.d1, args.d2, args.d3])
     result = decision.decide(triple)
     witness_text = None
-    if result.witness is not None:
-        witness_text = automorphisms.format_word_file(result.witness, ("x", "y", "z"))
+    if args.witness and result.witness is not None:
+        witness_text = parsing.format_word_file(result.witness, ("x", "y", "z"))
     if args.json:
         payload = {
             "triple": list(result.triple),
@@ -90,27 +85,26 @@ def _cmd_decide(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_scan(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     rows = decision.scan_rows(decision.scan(args.max))
     out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
     with out as handle:
         if args.format == "json":
             handle.write(json.dumps(rows) + "\n")
         else:
-            header = ["d1", "d2", "d3", "verdict", "reason", "s", "t", "witness_len"]
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(["" if row[key] is None else row[key] for key in header] for row in rows)
+            writer.writerow(decision.SCAN_COLUMNS)
+            writer.writerows(["" if value is None else value for value in row.values()] for row in rows)
     return 0
 
 
-def _cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_bracket(args: argparse.Namespace) -> int:
     names = parsing.split_names(args.vars)
-    f = _polynomial_argument(parser, args.f, names, args.file)
-    g = _polynomial_argument(parser, args.g, names, args.file)
+    f = _polynomial_argument(args.f, names, args.file)
+    g = _polynomial_argument(args.g, names, args.file)
     bracket = poisson.poisson_bracket(f, g)
-    coefficients = poisson.format_coefficients(bracket, names)
-    text = poisson.join_coefficients(coefficients)
+    coefficients = parsing.format_coefficients(bracket, names)
+    text = parsing.join_coefficients(coefficients)
     if args.json:
         print(json.dumps({"bracket": text, "coefficients": coefficients, "degree": _finite(bracket.degree())}))
     else:
@@ -119,11 +113,11 @@ def _cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return 0
 
 
-def _cmd_su_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_su_check(args: argparse.Namespace) -> int:
     names = parsing.split_names(args.vars)
-    f = _polynomial_argument(parser, args.f, names, args.file)
-    g = _polynomial_argument(parser, args.g, names, args.file)
-    big_g = _polynomial_argument(parser, args.G, ("u", "v"), args.file)
+    f = _polynomial_argument(args.f, names, args.file)
+    g = _polynomial_argument(args.g, names, args.file)
+    big_g = _polynomial_argument(args.G, ("u", "v"), args.file)
     report = poisson.su_bound(f, g, big_g)
     payload = {
         "p": report.p,
@@ -142,7 +136,7 @@ def _cmd_su_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_reduce(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> int:
     polys, names = parsing.parse_map_file(_read_text(args.mapfile))
     pmap = PolyMap(tuple(polys))
     if args.target is not None:
@@ -168,7 +162,7 @@ def _cmd_reduce(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_semigroup(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_semigroup(args: argparse.Namespace) -> int:
     rep = semigroup.membership(args.l, args.a, args.b)
     try:
         frob = semigroup.frobenius(args.a, args.b)
@@ -184,7 +178,7 @@ def _cmd_semigroup(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return 0
 
 
-def _cmd_mdeg(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_mdeg(args: argparse.Namespace) -> int:
     polys, _ = parsing.parse_map_file(_read_text(args.mapfile))
     degrees = PolyMap(tuple(polys)).mdeg()
     if args.json:
@@ -194,8 +188,8 @@ def _cmd_mdeg(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    steps, names = automorphisms.parse_word_file(_read_text(args.wordfile))
+def _cmd_compose(args: argparse.Namespace) -> int:
+    steps, names = parsing.parse_word_file(_read_text(args.wordfile))
     pmap = automorphisms.compose_word(steps, arity=len(names))
     if args.json:
         print(json.dumps({
@@ -209,7 +203,7 @@ def _cmd_compose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return 0
 
 
-def _cmd_verify_example(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_verify_example(args: argparse.Namespace) -> int:
     report = verify.verify_example()
     if args.json:
         print(json.dumps({
@@ -309,10 +303,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(parser, args)
+        args = _parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -207,19 +207,14 @@ def scan(max_degree: int) -> list[Decision]:
         return list(pool.map(decide, triples, chunksize=chunk))
 
 
+SCAN_COLUMNS = ("d1", "d2", "d3", "verdict", "reason", "s", "t", "witness_len")
+
+
 def scan_rows(decisions: Iterable[Decision]) -> list[dict]:
-    """Flat row mapping per decision, fixed key order, for CSV/JSON."""
+    """Flat row mapping per decision, keys in SCAN_COLUMNS order, for CSV/JSON."""
     rows = []
     for d in decisions:
         s, t = d.representation if d.representation is not None else (None, None)
-        rows.append({
-            "d1": d.triple[0],
-            "d2": d.triple[1],
-            "d3": d.triple[2],
-            "verdict": d.verdict,
-            "reason": d.reason,
-            "s": s,
-            "t": t,
-            "witness_len": len(d.witness) if d.witness is not None else None,
-        })
+        witness_len = len(d.witness) if d.witness is not None else None
+        rows.append(dict(zip(SCAN_COLUMNS, (*d.triple, d.verdict, d.reason, s, t, witness_len))))
     return rows

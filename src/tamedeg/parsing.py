@@ -1,4 +1,4 @@
-"""Text format for polynomials and coordinate-map files.
+"""Every text format: polynomials, map, word and polynomial files, brackets.
 
 Grammar (whitespace insignificant except inside names):
 
@@ -29,15 +29,27 @@ Map files list one polynomial per line after a `vars:` header:
     y - 2*x*z
     z
 
-Anything from `#` to the end of a line is a comment.
+Word files mirror map files: a `vars:` header, then one step per line,
+
+    elem <i> <alpha> <shift polynomial>     (1-based component index)
+    perm <p1> ... <pn>                      (new j-th component = old p_j-th)
+
+Indices are ASCII naturals and scalars ASCII rationals, as in
+polynomial text; errors name their field's line and column.  A
+polynomial file (`--file`) holds one polynomial, wrapped over lines at
+will, and a bracket prints as `(<poly>)·[x,y] + ...`.  Anything from
+`#` to the end of a line is a comment.  The algebra modules read and
+write no text.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
+from .automorphisms import ElementaryStep, PermutationStep, TameStep, step_arity
+from .poisson import BracketValue
 from .polynomials import Monomial, Polynomial, Scalar
 
 MAX_EXPONENT = 10 ** 6
@@ -216,11 +228,17 @@ def _format_monomial(monomial: Monomial, names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
+def _names(names: Sequence[str] | None, arity: int | None) -> tuple[str, ...]:
+    """Validated names, the defaults when None; `arity` of them unless it is None."""
+    names = validate_names(names if names is not None else default_names(arity))
+    if arity is not None and len(names) != arity:
+        raise ValueError(f"{len(names)} names given for arity {arity}")
+    return names
+
+
 def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
     """Render in canonical order; parse(format(p)) == p."""
-    names = validate_names(names if names is not None else default_names(p.arity))
-    if len(names) != p.arity:
-        raise ValueError(f"{len(names)} names given for arity {p.arity}")
+    names = _names(names, p.arity)
     if p.is_zero:
         return "0"
     pieces: list[str] = []
@@ -240,13 +258,41 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
     return "".join(pieces)
 
 
-# ---- map files ----
+def format_coefficients(b: BracketValue, names: Sequence[str] | None = None) -> dict[str, str]:
+    """Each nonzero coefficient rendered once, keyed by its symbol `[x,y]`, pairs in index order."""
+    names = _names(names, b.arity)
+    return {f"[{names[i]},{names[j]}]": format_polynomial(poly, names) for (i, j), poly in b.items()}
+
+
+def join_coefficients(coefficients: Mapping[str, str]) -> str:
+    """format_coefficients' output as `(<poly>)·[x,y] + ...`; `0` when it is empty."""
+    return " + ".join(f"({text})·{symbol}" for symbol, text in coefficients.items()) or "0"
+
+
+def format_bracket(b: BracketValue, names: Sequence[str] | None = None) -> str:
+    """Render as `(<poly>)·[x,y] + (<poly>)·[x,z] + ...` in pair order; the zero bracket as `0`."""
+    return join_coefficients(format_coefficients(b, names))
+
+
+# ---- files ----
+
+def _uncommented(text: str) -> list[str]:
+    """Each line of text with its `#` comment cut."""
+    return [line.split("#", 1)[0] for line in text.splitlines()]
+
 
 def significant_lines(text: str) -> list[tuple[int, str]]:
     """(line number, content) for each line not blank once its comment is
     cut; leading blanks stay, so columns are the file's own."""
-    cut = (raw.split("#", 1)[0].rstrip() for raw in text.splitlines())
-    return [(lineno, line) for lineno, line in enumerate(cut, start=1) if line]
+    return [(lineno, line.rstrip()) for lineno, line in enumerate(_uncommented(text), start=1) if line.strip()]
+
+
+def parse_polynomial_file(text: str, names: Sequence[str], path: str) -> Polynomial:
+    """The one polynomial of a polynomial file read from `path`."""
+    text = "\n".join(_uncommented(text)).rstrip()
+    if not text:
+        raise ParseError(f"no polynomial found in {path!r}", 1, 1)
+    return parse_polynomial(text, names)
 
 
 def split_names(raw: str) -> tuple[str, ...]:
@@ -274,6 +320,12 @@ def read_vars_header(text: str, kind: str, first: str) -> tuple[list[tuple[int, 
     return lines[1:], names
 
 
+def _format_file(items: Iterable, names: Sequence[str], line: Callable[..., str]) -> str:
+    """A map or word file: the `vars:` header, then one line per item."""
+    names = _names(names, None)
+    return "\n".join([f"vars: {', '.join(names)}", *(line(item, names) for item in items)]) + "\n"
+
+
 def parse_map_file(text: str) -> tuple[list[Polynomial], tuple[str, ...]]:
     """Read a `vars:` header plus one polynomial per line."""
     lines, names = read_vars_header(text, "map file", "the first polynomial")
@@ -282,7 +334,47 @@ def parse_map_file(text: str) -> tuple[list[Polynomial], tuple[str, ...]]:
 
 
 def format_map_file(polys: Sequence[Polynomial], names: Sequence[str]) -> str:
-    names = validate_names(names)
-    lines = [f"vars: {', '.join(names)}"]
-    lines.extend(format_polynomial(p, names) for p in polys)
-    return "\n".join(lines) + "\n"
+    return _format_file(polys, names, format_polynomial)
+
+
+def parse_word_file(text: str) -> tuple[list[TameStep], tuple[str, ...]]:
+    lines, names = read_vars_header(text, "word file", "the first step")
+    arity = len(names)
+    steps: list[TameStep] = []
+    for lineno, line in lines:
+        fields = list(re.finditer(r"\S+", line))
+        kind = fields[0][0]
+        if kind == "elem":
+            if len(fields) < 4:
+                raise _error("elem lines need an index, a scalar and a shift polynomial", line, lineno, len(line))
+            index = _numeral(line, lineno, *fields[1].span())
+            if not 1 <= index <= arity:
+                raise _error(f"component index {index} out of range 1..{arity}", line, lineno, fields[1].start())
+            scalar = _numeral(line, lineno, *fields[2].span(), rational=True)
+            if scalar == 0:
+                raise _error("elementary steps need a nonzero scalar", line, lineno, fields[2].start())
+            shift = parse_polynomial(line, names, lineno, fields[3].start())
+            if any(m[index - 1] for m in shift.terms()):
+                raise _error(f"the shift depends on its own variable {names[index - 1]}", line, lineno, fields[3].start())
+            steps.append(ElementaryStep(index - 1, scalar, shift))
+        elif kind == "perm":
+            images = [_numeral(line, lineno, *field.span()) for field in fields[1:]]
+            if sorted(images) != list(range(1, arity + 1)):
+                raise _error(f"perm lines need a permutation of 1..{arity}", line, lineno,
+                             fields[1].start() if images else len(line))
+            steps.append(PermutationStep(tuple(i - 1 for i in images)))
+        else:
+            raise _error(f"unknown step kind {kind!r} (expected 'elem' or 'perm')", line, lineno, fields[0].start())
+    return steps, names
+
+
+def _format_step(step: TameStep, names: tuple[str, ...]) -> str:
+    if step_arity(step) != len(names):
+        raise ValueError(f"step arity {step_arity(step)} does not match {len(names)} names")
+    if isinstance(step, ElementaryStep):
+        return f"elem {step.index + 1} {step.scalar} {format_polynomial(step.shift, names)}"
+    return "perm " + " ".join(str(i + 1) for i in step.images)
+
+
+def format_word_file(steps: Sequence[TameStep], names: Sequence[str]) -> str:
+    return _format_file(steps, names, _format_step)

@@ -9,15 +9,15 @@ basis symbol carries degree 2, so the degree of a nonzero bracket is
 2 plus the largest coefficient degree.  Over a field of characteristic
 zero the bracket vanishes exactly when f and g are algebraically
 dependent, which is what makes it usable as an exact dependence test.
+Bracket text is printed by `parsing.format_bracket`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
-from . import parsing
 from .polynomials import NEG_INFINITY, Polynomial, divide_homogeneous
 
 
@@ -86,27 +86,6 @@ class BracketValue:
     def __repr__(self) -> str:
         body = ", ".join(f"[{i},{j}]: {poly}" for (i, j), poly in self.items()) or "0"
         return f"BracketValue({body})"
-
-
-def format_coefficients(b: BracketValue, names: Sequence[str] | None = None) -> dict[str, str]:
-    """Render each nonzero coefficient once, keyed by its basis symbol
-    `[x,y]`, pairs in lexicographic index order."""
-    names = parsing.validate_names(names if names is not None else parsing.default_names(b.arity))
-    if len(names) != b.arity:
-        raise ValueError(f"{len(names)} names given for arity {b.arity}")
-    return {f"[{names[i]},{names[j]}]": parsing.format_polynomial(poly, names) for (i, j), poly in b.items()}
-
-
-def join_coefficients(coefficients: Mapping[str, str]) -> str:
-    """Join the output of format_coefficients as `(<poly>)·[x,y] + ...`;
-    no coefficients give `0`."""
-    return " + ".join(f"({text})·{symbol}" for symbol, text in coefficients.items()) or "0"
-
-
-def format_bracket(b: BracketValue, names: Sequence[str] | None = None) -> str:
-    """Render as `(<poly>)·[x,y] + (<poly>)·[x,z] + ...`, pairs in
-    lexicographic index order.  The zero bracket renders as `0`."""
-    return join_coefficients(format_coefficients(b, names))
 
 
 def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:

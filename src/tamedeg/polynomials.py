@@ -179,11 +179,17 @@ class Polynomial:
         if self._arity != other._arity:
             raise ValueError(f"arity mismatch: {self._arity} vs {other._arity}")
 
+    def _lift(self, other: object) -> Polynomial:
+        """A Polynomial as is, a scalar as a constant, else NotImplemented."""
+        if not isinstance(other, (int, Fraction)):
+            return other if isinstance(other, Polynomial) else NotImplemented
+        c = _coerce(other)
+        return Polynomial._from_clean(self._arity, {(0,) * self._arity: c} if c else {})
+
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self._arity)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
         self._check_arity(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
@@ -200,21 +206,16 @@ class Polynomial:
         return Polynomial._from_clean(self._arity, {m: -c for m, c in self._terms.items()}, self._degree)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self._arity)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        other = self._lift(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other: Scalar) -> Polynomial:
         return (-self) + other
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            other = Polynomial._from_clean(self._arity, {(0,) * self._arity: c} if c else {})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
         self._check_arity(other)
         if len(self._terms) == 1 or len(other._terms) == 1:
             # Shifting by one monomial is injective and a product of
@@ -272,8 +273,6 @@ class Polynomial:
         """Substitute args[i] for variable i.  All args must share one arity."""
         if len(args) != self._arity:
             raise ValueError(f"expected {self._arity} substitution arguments, got {len(args)}")
-        if not args:
-            raise ValueError("cannot compose a polynomial with no variables")
         target_arity = args[0].arity
         for a in args:
             if not isinstance(a, Polynomial):
@@ -302,10 +301,9 @@ class Polynomial:
     # ---- comparison ----
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self._arity)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
         return self._arity == other._arity and self._terms == other._terms
 
     def __hash__(self) -> int:

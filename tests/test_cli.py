@@ -12,8 +12,8 @@ import pytest
 from tamedeg import compose_word, decide, parse_map_file, parse_word_file, scan, scan_rows
 from tamedeg import cli
 from tamedeg.cli import main
-from tamedeg.parsing import format_map_file, format_polynomial
-from tamedeg.automorphisms import build_example_map, example_word, format_word_file
+from tamedeg.parsing import format_map_file, format_polynomial, format_word_file
+from tamedeg.automorphisms import build_example_map, example_word
 from tamedeg.decision import sorted_triples
 from tamedeg.verify import BRACKET_XY, BRACKET_XZ, BRACKET_YZ
 
@@ -61,6 +61,16 @@ class TestDecide:
         payload = json.loads(out)
         assert payload["witness_len"] == 5
         assert payload["witness"] == format_word_file(example_word(), ("x", "y", "z"))
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_witness_is_rendered_only_when_asked(self, capsys, monkeypatch, extra):
+        def refuse(steps, names):
+            raise AssertionError("the witness text was rendered")
+
+        monkeypatch.setattr(cli.parsing, "format_word_file", refuse)
+        code, out, err = run(capsys, "decide", "3", "5", "11", *extra)
+        assert code == 0, err
+        assert "SemigroupMember" in out
 
     def test_input_is_normalized(self, capsys):
         code, out, _ = run(capsys, "decide", "25", "10", "23")
@@ -207,6 +217,14 @@ class TestBracket:
         code, _, err = run(capsys, "bracket", str(path), str(path), "--file")
         assert code == 2
         assert err == "parse error: line 1, column 4: unexpected end of input\n"
+
+    def test_file_without_a_polynomial(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# only a comment\n\n   # and another\n", encoding="utf-8")
+        code, out, err = run(capsys, "bracket", str(path), str(path), "--file")
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: line 1, column 1: no polynomial found in {str(path)!r}\n"
 
 
 class TestSuCheck:

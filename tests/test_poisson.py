@@ -20,7 +20,7 @@ from tamedeg import (
     su_bound,
     variables,
 )
-from tamedeg.poisson import format_coefficients, join_coefficients
+from tamedeg.parsing import format_coefficients, join_coefficients
 
 x, y, z = variables(3)
 u, v = variables(2)
