@@ -244,17 +244,20 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
     pieces: list[str] = []
     for monomial, coeff in p.sorted_terms():
         mono = _format_monomial(monomial, names)
-        magnitude = -coeff if coeff < 0 else coeff
+        # the text of abs(coeff) as str(Fraction) gives it: `n` or `n/d`
+        num, den = coeff.numerator, coeff.denominator
+        negative = num < 0
+        magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = str(magnitude)
-        elif magnitude == 1:
+            body = magnitude
+        elif magnitude == "1":
             body = mono
         else:
             body = f"{magnitude}*{mono}"
         if not pieces:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if negative else body)
         else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+            pieces.append(f" - {body}" if negative else f" + {body}")
     return "".join(pieces)
 
 

@@ -9,13 +9,23 @@ basis symbol carries degree 2, so the degree of a nonzero bracket is
 2 plus the largest coefficient degree.  Over a field of characteristic
 zero the bracket vanishes exactly when f and g are algebraically
 dependent, which is what makes it usable as an exact dependence test.
-Bracket text is printed by `parsing.format_bracket`.
+
+`poisson_bracket` builds no derivative and no product of polynomials.
+The bracket is bilinear, so it clears each operand's denominators once
+and reads every coefficient off the rule on monomials,
+
+    [x^a, x^b] = sum over i < j of (a_i b_j - a_j b_i) x^(a+b-e_i-e_j) [x_i, x_j],
+
+in one pass over integer term pairs.  Bracket text is printed by
+`parsing.format_bracket`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 from .polynomials import NEG_INFINITY, Polynomial, divide_homogeneous
@@ -88,18 +98,52 @@ class BracketValue:
         return f"BracketValue({body})"
 
 
+def _cleared(p: Polynomial) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """(terms of d*p with integer coefficients, d) for the least common
+    denominator d of p's coefficients."""
+    terms = p.terms()
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
+
+
 def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
+    """[f, g], its coefficients read straight off the monomial rule.
+
+    With f = F/D and g = G/E, where D and E clear the denominators,
+    bilinearity gives [f, g] = [F, G]/(D*E).  Every term pair c x^a,
+    c' x^b of F and G adds (a_i b_j - a_j b_i) c c' to the coefficient
+    of x^(a+b-e_i-e_j) on [x_i, x_j], summed over Python ints; each
+    nonzero sum becomes one Fraction over D*E.  A nonzero weight needs
+    a_i + b_i >= 1 and a_j + b_j >= 1, so no exponent drops below zero.
+    """
     if f.arity != g.arity:
         raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
     n = f.arity
     if n < 2:
         raise ValueError("brackets need at least two variables")
-    df = [f.derivative(i) for i in range(n)]
-    dg = [g.derivative(i) for i in range(n)]
+    F, D = _cleared(f)
+    G, E = _cleared(g)
+    # sums keyed by a + b; the shift by -e_i - e_j happens once per output term
+    sums = [(i, j, {}) for i in range(n) for j in range(i + 1, n)]
+    for a, c in F:
+        for b, d in G:
+            s = tuple(map(add, a, b))
+            cd = c * d
+            for i, j, acc in sums:
+                w = a[i] * b[j] - a[j] * b[i]
+                if w:
+                    acc[s] = acc.get(s, 0) + w * cd
+    DE = D * E
     coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs[(i, j)] = df[i] * dg[j] - df[j] * dg[i]
+    for i, j, acc in sums:
+        terms = {}
+        for s, v in acc.items():
+            if v:
+                m = list(s)
+                m[i] -= 1
+                m[j] -= 1
+                terms[tuple(m)] = Fraction(v, DE)
+        coeffs[(i, j)] = Polynomial._from_clean(n, terms)
     return BracketValue(n, coeffs)
 
 
@@ -130,6 +174,25 @@ class PairCheck:
         return self.ok
 
 
+def _pair_failures(f: Polynomial, g: Polynomial, star: bool) -> tuple[list[str], BracketValue | None]:
+    """Failed conditions of the pair checks, in order, and [f, g].
+
+    A zero or constant entry fails alone and leaves the bracket
+    uncomputed (None).  `star` adds the condition that the leading forms
+    are algebraically dependent.
+    """
+    if f.is_zero or g.is_zero or f.degree() == 0 or g.degree() == 0:
+        return ["a zero or constant entry admits no reduced pair"], None
+    bracket = poisson_bracket(f, g)
+    failures = []
+    if bracket.is_zero:
+        failures.append("f and g are algebraically dependent")
+    if star and not algebraically_dependent(f.leading_form(), g.leading_form()):
+        failures.append("the leading forms of f and g are algebraically independent")
+    failures.extend(_mutual_leading_divisibility(f, g))
+    return failures, bracket
+
+
 def is_star_reduced(f: Polynomial, g: Polynomial) -> PairCheck:
     """Check the three star-reduction conditions on an ordered pair.
 
@@ -138,28 +201,14 @@ def is_star_reduced(f: Polynomial, g: Polynomial) -> PairCheck:
     (3) neither leading form divides the other.
     Degenerate inputs (zero or constant) fail condition (1) or (2).
     """
-    failures = []
-    if f.is_zero or g.is_zero or f.degree() == 0 or g.degree() == 0:
-        failures.append("a zero or constant entry admits no reduced pair")
-        return PairCheck(False, tuple(failures))
-    if algebraically_dependent(f, g):
-        failures.append("f and g are algebraically dependent")
-    if not algebraically_dependent(f.leading_form(), g.leading_form()):
-        failures.append("the leading forms of f and g are algebraically independent")
-    failures.extend(_mutual_leading_divisibility(f, g))
+    failures, _ = _pair_failures(f, g, star=True)
     return PairCheck(not failures, tuple(failures))
 
 
 def is_weak_pair(f: Polynomial, g: Polynomial) -> PairCheck:
     """Check the weakened pair conditions: independence plus mutual
     non-divisibility of leading forms."""
-    failures = []
-    if f.is_zero or g.is_zero or f.degree() == 0 or g.degree() == 0:
-        failures.append("a zero or constant entry admits no reduced pair")
-        return PairCheck(False, tuple(failures))
-    if algebraically_dependent(f, g):
-        failures.append("f and g are algebraically dependent")
-    failures.extend(_mutual_leading_divisibility(f, g))
+    failures, _ = _pair_failures(f, g, star=False)
     return PairCheck(not failures, tuple(failures))
 
 
@@ -189,9 +238,9 @@ def su_bound(f: Polynomial, g: Polynomial, G: Polynomial) -> SuReport:
     polynomial in two variables, nonzero in its second variable's
     direction or not, either way the bound is reported as computed.
     """
-    check = is_weak_pair(f, g)
-    if not check.ok:
-        raise ValueError("not a weakened pair: " + "; ".join(check.failures))
+    failures, bracket = _pair_failures(f, g, star=False)
+    if failures:
+        raise ValueError("not a weakened pair: " + "; ".join(failures))
     if G.arity != 2:
         raise ValueError(f"G must be bivariate, got arity {G.arity}")
     if G.is_zero:
@@ -201,7 +250,7 @@ def su_bound(f: Polynomial, g: Polynomial, G: Polynomial) -> SuReport:
     p = deg_f // math.gcd(deg_f, deg_g)
     deg_y_G = max(m[1] for m in G.terms())
     q, r = divmod(deg_y_G, p)
-    bracket_degree = poisson_bracket(f, g).degree()
+    bracket_degree = bracket.degree()
     value = G.compose([f, g])
     lhs = value.degree()
     rhs = q * (p * deg_g - deg_f - deg_g + bracket_degree) + r * deg_g

@@ -6,10 +6,12 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from tamedeg import compose_word, decide, parse_map_file, parse_word_file, scan, scan_rows
+from tamedeg import Polynomial, compose_word, decide, parse_map_file, parse_word_file, scan, scan_rows
 from tamedeg import cli
 from tamedeg.cli import main
 from tamedeg.parsing import format_map_file, format_polynomial, format_word_file
@@ -607,6 +609,47 @@ class TestDigest:
                 assert main(list(argv)) == 0
             data = stdout.getvalue().encode()
             assert (len(data), hashlib.sha256(data).hexdigest()) == want, argv[:1]
+
+
+    def test_bracket_path_digests(self, tmp_path):
+        # stdout of `bracket --json` and `su-check --json` on 50 seeded pairs
+        # with rational coefficients: independent pairs, dependent pairs
+        # g = c*f^2 + f, and pairs with a zero or constant entry
+        rng = random.Random(2012)
+
+        def polynomial(arity, terms, top):
+            return Polynomial(arity, {
+                tuple(rng.randint(0, top) for _ in range(arity)):
+                    Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 30))
+                for _ in range(terms)
+            })
+
+        def write(name, poly, names=("x", "y", "z")):
+            path = tmp_path / name
+            path.write_text(format_polynomial(poly, names) + "\n", encoding="utf-8")
+            return str(path)
+
+        stdout, stderr, codes = io.StringIO(), io.StringIO(), []
+        for k in range(50):
+            f = polynomial(3, rng.randint(1, 4), 3)
+            if k % 5 == 3:
+                g = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * f * f + f
+            elif k % 5 == 4:
+                g = Polynomial.constant(Fraction(k % 3, 7), 3)
+            else:
+                g = polynomial(3, rng.randint(1, 4), 3)
+            G = polynomial(2, rng.randint(1, 3), 3)
+            paths = [write(f"f{k}", f), write(f"g{k}", g), write(f"G{k}", G, ("u", "v"))]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                codes.append(main(["bracket", *paths[:2], "--file", "--json"]))
+                codes.append(main(["su-check", *paths, "--file", "--json"]))
+        assert codes[0::2] == [0] * 50
+        assert codes[1::2].count(0) == 21
+        data = stdout.getvalue().encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            20572, "984f3e58f49d3d2bb66fa491d7cf0f81fed3e28960e17757f978729bea8594a4")
+        errors = stderr.getvalue().encode()
+        assert hashlib.sha256(errors).hexdigest() == "695c379285566f827c8d8780c583f09d22fcebf62fcbb5e223ef332e51b28cf4"
 
 
 class TestUsage:

@@ -7,12 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tamedeg import (
     NEG_INFINITY,
     BracketValue,
     Polynomial,
     algebraically_dependent,
+    build_example_map,
     format_bracket,
     is_star_reduced,
     is_weak_pair,
@@ -20,10 +23,12 @@ from tamedeg import (
     su_bound,
     variables,
 )
+from tamedeg import poisson
 from tamedeg.parsing import format_coefficients, join_coefficients
 
 x, y, z = variables(3)
 u, v = variables(2)
+F1, F2, F3 = build_example_map().components
 
 
 def random_polynomial(rng: random.Random, max_degree: int = 4,
@@ -77,6 +82,40 @@ class TestBracketValue:
             BracketValue(3, {(0, 1): u})
         with pytest.raises(ValueError):
             poisson_bracket(x, u)
+
+
+def minor_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
+    """[f, g] from the 2x2 minors df_i*dg_j - df_j*dg_i of the gradients."""
+    n = f.arity
+    df = [f.derivative(i) for i in range(n)]
+    dg = [g.derivative(i) for i in range(n)]
+    return BracketValue(n, {(i, j): df[i] * dg[j] - df[j] * dg[i] for i in range(n) for j in range(i + 1, n)})
+
+
+COEFFICIENTS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 30))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials of one arity in 2..4: sparse, constant or zero."""
+    n = draw(st.integers(2, 4))
+    sparse = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), COEFFICIENTS, max_size=5)
+    polynomial = st.one_of(
+        sparse.map(lambda terms: Polynomial(n, terms)),
+        COEFFICIENTS.map(lambda c: Polynomial.constant(c, n)),
+    )
+    return draw(polynomial), draw(polynomial)
+
+
+class TestBracketAgainstMinors:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=polynomial_pairs())
+    @example(pair=(F1, F2))
+    @example(pair=(F1, F3))
+    @example(pair=(F2, F3))
+    def test_matches_minor_formula(self, pair):
+        f, g = pair
+        assert poisson_bracket(f, g) == minor_bracket(f, g)
 
 
 class TestBracketIdentities:
@@ -257,6 +296,19 @@ class TestSuBound:
     def test_nonzero_argument_required(self):
         with pytest.raises(ValueError):
             su_bound(x, y, Polynomial.zero(2))
+
+    def test_one_bracket_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(f, g):
+            calls.append((f, g))
+            return poisson_bracket(f, g)
+
+        monkeypatch.setattr(poisson, "poisson_bracket", counting)
+        pairs = [(x**2, y**3, v), (x + y**2, z**3 - x, u * v**4), (x, y, u**3 + v)]
+        for f, g, G in pairs:
+            su_bound(f, g, G)
+        assert calls == [(f, g) for f, g, _ in pairs]
 
     def test_division_shape(self):
         rng = random.Random(45)
