@@ -98,14 +98,6 @@ class BracketValue:
         return f"BracketValue({body})"
 
 
-def _cleared(p: Polynomial) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """(terms of d*p with integer coefficients, d) for the least common
-    denominator d of p's coefficients."""
-    terms = p.terms()
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()], d
-
-
 def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
     """[f, g], its coefficients read straight off the monomial rule.
 
@@ -121,12 +113,12 @@ def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
     n = f.arity
     if n < 2:
         raise ValueError("brackets need at least two variables")
-    F, D = _cleared(f)
-    G, E = _cleared(g)
+    F, D = f.cleared()
+    G, E = g.cleared()
     # sums keyed by a + b; the shift by -e_i - e_j happens once per output term
     sums = [(i, j, {}) for i in range(n) for j in range(i + 1, n)]
-    for a, c in F:
-        for b, d in G:
+    for a, c in F.items():
+        for b, d in G.items():
             s = tuple(map(add, a, b))
             cd = c * d
             for i, j, acc in sums:

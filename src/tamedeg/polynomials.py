@@ -20,6 +20,7 @@ the coefficient, so x^s * y^t or z^d costs no repeated squaring.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -154,6 +155,12 @@ class Polynomial:
 
     def coefficient(self, monomial: Monomial) -> Fraction:
         return self._terms.get(tuple(monomial), _ZERO)
+
+    def cleared(self) -> tuple[dict[Monomial, int], int]:
+        """(terms of d*self with integer coefficients, d) for the least
+        common denominator d of the coefficients (1 for zero)."""
+        d = math.lcm(*(c.denominator for c in self._terms.values()))
+        return {m: c.numerator * (d // c.denominator) for m, c in self._terms.items()}, d
 
     def degree(self) -> int | float:
         """Total degree; NEG_INFINITY for the zero polynomial."""

@@ -25,9 +25,14 @@ component, above the default cap of 46, so verify.py passes cap 50.
 Within the capped support the problem is linear: one unknown
 coefficient per support monomial, one equation per monomial of the
 difference that must vanish.  The coefficients are exact rationals,
-but the linear algebra runs over Python ints: each equation is scaled
-by the lcm of its denominators, elimination is fraction-free, and
-Fractions appear only when the solutions are read out.
+but the system is built and solved over Python ints.  Each component
+has its denominators cleared once, F_j = A/a, F_k = B/b and
+F_target = T/tau, and the products A^s B^t are integer polynomials:
+column (s, t) stands for A^s B^t / (a^s b^t) and the right-hand side
+for T/tau.  Each equation is scaled by the lcm of its own columns'
+denominators, and elimination is fraction-free.  Fractions appear only
+when the solutions and the residual are read out, and in the soundness
+recheck, which composes g(F_j, F_k) with Polynomial arithmetic.
 
 The rows go in one degree level at a time, from the top down, and the
 most constrained consistent system fixes the residual degree.  Its
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
+from operator import add
 
 from . import poisson
 from .polynomials import Monomial, Polynomial
@@ -85,10 +91,14 @@ class ReductionResult:
 Row = dict[int, int]
 
 
-def _integer_row(entries: dict[int, Fraction]) -> Row:
-    """The rational row `entries` times the lcm of its denominators."""
-    scale = lcm(*(c.denominator for c in entries.values()))
-    return {col: c.numerator * (scale // c.denominator) for col, c in entries.items() if c}
+def _product(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
+    """p*q for integer term dicts, zero sums dropped."""
+    out: dict[Monomial, int] = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            m = tuple(map(add, a, b))
+            out[m] = out.get(m, 0) + c * d
+    return {m: c for m, c in out.items() if c}
 
 
 def _primitive(row: Row) -> Row:
@@ -267,20 +277,28 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         return None
     ncols = len(support)
 
-    powers_j: list[Polynomial] = [Polynomial.constant(1, 3)]
+    # The components cleared once, F_j = A/a, F_k = B/b, F_target = T/tau:
+    # column (s, t) is A^s B^t over a^s b^t, and column ncols T over tau.
+    A, a = components[j].cleared()
+    B, b = components[k].cleared()
+    T, tau = f_target.cleared()
+    one = {(0, 0, 0): 1}
+    powers_j = [one]
     while len(powers_j) <= max(st[0] for st in support):
-        powers_j.append(powers_j[-1] * components[j])
-    powers_k: list[Polynomial] = [Polynomial.constant(1, 3)]
+        powers_j.append(_product(powers_j[-1], A))
+    powers_k = [one]
     while len(powers_k) <= max(st[1] for st in support):
-        powers_k.append(powers_k[-1] * components[k])
-    products = [powers_j[s] * powers_k[t] for s, t in support]
+        powers_k.append(_product(powers_k[-1], B))
+    products = [_product(powers_j[s], powers_k[t]) if s and t else powers_j[s] if s else powers_k[t]
+                for s, t in support]
+    denominators = [a**s * b**t for s, t in support] + [tau]
 
-    # One equation per monomial, read off each product's terms once:
-    # column i holds products[i], column ncols the RHS f_target.  Group
-    # them by total degree so levels can be constrained from the top down.
-    by_degree: dict[int, dict[Monomial, dict[int, Fraction]]] = {}
-    for col, poly in enumerate(products + [f_target]):
-        for m, c in poly.terms().items():
+    # One equation per monomial, read off each column's terms once, and
+    # grouped by total degree so levels can be constrained from the top
+    # down.  Each row is scaled by the lcm of its columns' denominators.
+    by_degree: dict[int, dict[Monomial, dict[int, int]]] = {}
+    for col, terms in enumerate(products + [T]):
+        for m, c in terms.items():
             d = sum(m)
             if d >= 1:
                 by_degree.setdefault(d, {}).setdefault(m, {})[col] = c
@@ -290,7 +308,12 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
 
     def rows_for(level: int) -> list[Row]:
         equations = by_degree.get(level, {})
-        return [_integer_row(equations[m]) for m in sorted(equations)]
+        rows = []
+        for m in sorted(equations):
+            entries = equations[m]
+            scale = lcm(*(denominators[col] for col in entries))
+            rows.append({col: c * (scale // denominators[col]) for col, c in entries.items()})
+        return rows
 
     # Constrain one level at a time from the top down and stop at the
     # first inconsistent one.  The system through level L <= deg_target
@@ -308,10 +331,15 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
 
     def build_result(solution: list[Fraction]) -> ReductionResult | None:
         g = Polynomial(2, {st: c for st, c in zip(support, solution) if c})
-        residual = f_target
-        for coeff, product in zip(solution, products):
-            if coeff:
-                residual = residual - coeff * product
+        # residual = (T*scale/tau - sum of c*scale/(a^s b^t) * A^s B^t)/scale
+        used = [(col, c) for col, c in enumerate(solution) if c]
+        scale = lcm(tau, *(c.denominator * denominators[col] for col, c in used))
+        numerators = {m: c * (scale // tau) for m, c in T.items()}
+        for col, c in used:
+            factor = c.numerator * (scale // (c.denominator * denominators[col]))
+            for m, p in products[col].items():
+                numerators[m] = numerators.get(m, 0) - factor * p
+        residual = Polynomial._from_clean(3, {m: Fraction(n, scale) for m, n in numerators.items() if n})
         degree = residual.degree()
         if degree < 1:
             return None

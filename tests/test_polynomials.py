@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -99,6 +100,18 @@ class TestArithmetic:
         assert Polynomial.constant(Fraction(5, 2), 3) == Fraction(5, 2)
         assert Polynomial.zero(2) == 0
         assert hash(Polynomial.constant(4, 3)) == hash(Fraction(4))
+
+    def test_cleared_denominators(self):
+        p = Fraction(1, 6) * x**2 - Fraction(3, 4) * y + 2
+        assert p.cleared() == ({(2, 0, 0): 2, (0, 1, 0): -9, (0, 0, 0): 24}, 12)
+        assert (x - y).cleared() == ({(1, 0, 0): 1, (0, 1, 0): -1}, 1)
+        assert Polynomial.zero(3).cleared() == ({}, 1)
+        rng = random.Random(22)
+        for _ in range(100):
+            p = random_polynomial(rng)
+            terms, d = p.cleared()
+            assert Polynomial(3, {m: Fraction(c, d) for m, c in terms.items()}) == p
+            assert math.gcd(d, *terms.values()) == 1  # d is the least such denominator
 
 
 class TestDegree:

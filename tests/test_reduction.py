@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from tamedeg import (
     ElementaryStep,
     PolyMap,
     Polynomial,
+    build_example_map,
     compose_word,
     find_any_reduction,
     find_elementary_reduction,
@@ -396,7 +398,8 @@ def integer_solve(rows: list[list[Fraction]], ncols: int, vanish: list[int]):
     solved by its support probe with the columns `vanish` set to zero."""
     echelon, pivots = [], {}
     for row in rows:
-        integer_row = reduction._integer_row(dict(enumerate(row)))
+        scale = lcm(*(c.denominator for c in row))
+        integer_row = {col: int(c * scale) for col, c in enumerate(row) if c}
         if not reduction._echelon_add(echelon, pivots, integer_row, ncols):
             return None
     return reduction._solve_vanishing(echelon, pivots, vanish, ncols)
@@ -467,15 +470,16 @@ def random_maps(draw):
 
 
 @st.composite
-def word_maps(draw):
+def word_maps(draw, step_coefficients=lambda step: small_coefficients):
     """Automorphisms of 1-3 elementary steps, each adding 1-3 monomials
-    with exponents <= 2 in the two other components; degrees <= 12."""
+    with exponents <= 2 in the two other components; degrees <= 12.
+    Step i draws its coefficients from step_coefficients(i)."""
     components = list(variables(3))
-    for _ in range(draw(st.integers(1, 3))):
+    for step in range(draw(st.integers(1, 3))):
         index = draw(st.integers(0, 2))
         j, k = (i for i in range(3) if i != index)
         exponents = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
-        shift = draw(st.dictionaries(exponents, small_coefficients, min_size=1, max_size=3))
+        shift = draw(st.dictionaries(exponents, step_coefficients(step), min_size=1, max_size=3))
         for (a, b), coeff in shift.items():
             components[index] = components[index] + coeff * components[j]**a * components[k]**b
     assume(max(p.degree() for p in components) <= 12)
@@ -517,6 +521,45 @@ class TestCapTrim:
         assert find_elementary_reduction(pmap, 2, 3) is None
 
 
+@st.composite
+def denominator_word_maps(draw):
+    """word_maps whose step i has coefficients n/d_i with numerators up
+    to 10**6, the d_i distinct and pairwise coprime."""
+    denominators = draw(st.permutations((5, 7, 9, 11, 13)))
+
+    def step_coefficients(step):
+        d = denominators[step]
+        return st.integers(-10**6, 10**6).filter(lambda n: n % d).map(lambda n: Fraction(n, d))
+
+    return draw(word_maps(step_coefficients))
+
+
+class TestScaledRows:
+    """The system is built from the cleared components F_j = A/a,
+    F_k = B/b and F_target = T/tau: column (s, t) stands for
+    A^s B^t / (a^s b^t) and the right-hand side for T/tau, and each row
+    is scaled by the lcm of its own columns' denominators.  Maps with
+    coprime denominators make every one of those factors count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(denominator_word_maps(), st.integers(0, 2), st.none())
+    @example(build_example_map(), 1, 50)
+    def test_answers_pass_recomposition_and_the_rank_oracle(self, pmap, target, cap):
+        f_target = pmap.components[target]
+        deg = f_target.degree()
+        result = find_elementary_reduction(pmap, target, cap)
+        cap = 2 * deg if cap is None else cap
+        if result is None:
+            assert deg < 2 or no_valid_drop_below(pmap, target, cap, deg)
+            return
+        j, k = (i for i in range(3) if i != target)
+        assert f_target - result.g.compose([pmap.components[j], pmap.components[k]]) == result.residual
+        assert result.residual.degree() == result.residual_degree
+        assert 1 <= result.residual_degree < deg
+        if result.residual_degree >= 2:
+            assert no_valid_drop_below(pmap, target, cap, result.residual_degree)
+
+
 class TestDigest:
     def test_reduction_digest_of_two_streams(self):
         # the answers of tools/reduction_digest.py on the benchmark's
@@ -530,4 +573,19 @@ class TestDigest:
             "budget default stream 1 sha256 211faafeecead419f9b781ec9e0d88dfcf291414dd6c6bf69170722a2e4bf3bf found 155 none 325",
             "budget default stream 2 sha256 0120bfa000f6df420e0e79b748498b09028c72f53abd3625d5ea927c6b660eb3 found 158 none 322",
             "budget default total sha256 aebca507744741698e3929a58db2c1480ff6b435c70697fb72976f77f8f8a55e found 313 none 647",
+        ]
+
+    def test_reduction_digest_past_the_budget(self):
+        # with SUBSET_BUDGET 0 every level jumps straight to the whole
+        # family, a path the first two streams at the default budget
+        # never take; stream 14 takes it 137 times over a nonempty
+        # kernel, and its default-budget digest differs (b5c8c23c...)
+        done = subprocess.run(
+            [sys.executable, "tools/reduction_digest.py", "--streams", "14", "--budgets", "0"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "budget 0 stream 14 sha256 f40800864b53ebd4ffe66502f242b7e5d4ae26eca75355fc9e4a2ee006e9ce10 found 178 none 302",
+            "budget 0 total sha256 04d67961aa163bbad1b90bcf46163a9c3d4fa37fc496053647f9e4fe2b908afa found 178 none 302",
         ]
