@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import combinations, permutations
 from operator import mul
 from typing import Sequence, Union
 
+from .poisson import poisson_bracket
 from .polynomials import Polynomial, _coerce, variables
 
 
@@ -121,48 +122,40 @@ class PolyMap:
         return [[self.components[i].derivative(j) for j in range(n)] for i in range(n)]
 
     def jacobian_det(self) -> Polynomial:
-        return _determinant(self.jacobian())
+        """det J, its 2x2 minors read off one Poisson bracket.
+
+        The coefficient of [f_p, f_q] on [x_i, x_j], i < j, is the minor
+        of J on rows p, q and columns i, j.  So det J is the sum, over
+        the permutations with perm(p) < perm(q), of the permutation's
+        sign times the coefficient on [x_perm(p), x_perm(q)] times the
+        entries df_r/dx_perm(r) of the other rows.  In 3-space this is
+        grad f_r . [f_p, f_q], the bracket read as a cross product, up
+        to the sign of (p, q, r).  The bracket costs one step per pair
+        of terms of f_p and f_q, and its coefficients multiply the other
+        rows, so p and q are the two components with the fewest terms:
+        for the example map f1 and f3, whose bracket has degree 8.
+        Arity 1 has no bracket; there det J is df/dx.
+        """
+        n = self.arity
+        if n == 1:
+            return self.components[0].derivative(0)
+        p, q = sorted(range(n), key=lambda k: len(self.components[k]))[:2]
+        bracket = poisson_bracket(self.components[p], self.components[q])
+        rest = [r for r in range(n) if r not in (p, q)]
+        gradients = {r: [self.components[r].derivative(c) for c in range(n)] for r in rest}
+        total = Polynomial.zero(n)
+        for perm in permutations(range(n)):
+            if perm[p] > perm[q]:
+                continue
+            term = bracket.coefficient(perm[p], perm[q])
+            for r in rest:
+                term = term * gradients[r][perm[r]]
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            total = total - term if inversions % 2 else total + term
+        return total
 
     def __repr__(self) -> str:
         return f"PolyMap({', '.join(str(c) for c in self.components)})"
-
-
-def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Laplace expansion along the row whose minors are cheapest, at
-    every level of the recursion.
-
-    A row's cost is the sum, over its nonzero entries, of the product of
-    the other rows' term counts outside that entry's column; the first
-    row of least cost wins.  That product bounds the term products in
-    the minor's full expansion, and it needs only term counts.  The
-    number of nonzero entries is no guide: every row of the example
-    map's Jacobian has three, and expanding along the short gradient of
-    f1 multiplies the long gradients of f2 and f3 into minors of hundreds
-    of terms.  Along the gradient of f2 the minors are the coefficients
-    of [f1, f3], a bracket of degree 8 with a handful of terms.
-    """
-    n = len(matrix)
-    arity = matrix[0][0].arity
-    if n == 1:
-        return matrix[0][0]
-    counts = [[len(p) for p in r] for r in matrix]
-    sums = [sum(c) for c in counts]
-
-    def cost(i: int) -> int:
-        return sum(prod(sums[k] - counts[k][col] for k in range(n) if k != i)
-                   for col in range(n) if counts[i][col])
-
-    row = min(range(n), key=cost)
-    total = Polynomial.zero(arity)
-    rest = [matrix[i] for i in range(n) if i != row]
-    for col in range(n):
-        entry = matrix[row][col]
-        if entry.is_zero:
-            continue
-        minor = [[r[j] for j in range(n) if j != col] for r in rest]
-        cofactor = entry * _determinant(minor)
-        total = total + cofactor if (row + col) % 2 == 0 else total - cofactor
-    return total
 
 
 def step_arity(step: TameStep) -> int:

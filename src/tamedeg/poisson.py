@@ -16,7 +16,9 @@ and reads every coefficient off the rule on monomials,
 
     [x^a, x^b] = sum over i < j of (a_i b_j - a_j b_i) x^(a+b-e_i-e_j) [x_i, x_j],
 
-in one pass over integer term pairs.  Bracket text is printed by
+in one pass over integer term pairs.  Its coefficients are the 2x2
+minors of the two gradients, so `PolyMap.jacobian_det` reuses the
+bracket for its cofactors.  Bracket text is printed by
 `parsing.format_bracket`.
 """
 
