@@ -1,21 +1,13 @@
 """Classify sorted degree triples as Tame, NotTame, or Unknown.
 
-Sufficiency rules come first (small first entry, semigroup membership,
-equal leading pair, the two catalogued instances), then the two
-exclusion rules, then an honest Unknown listing every unmet hypothesis.
+`decide` answers with the first rule that fires, and the rule's tag is
+the stable reason identifier used in CSV/JSON output.  The Tame rules
+come first, written out in `decide`, then the two exclusion rules of
+the table `EXCLUSIONS`; when neither exclusion applies the verdict is
+Unknown with reason HypothesesFail, listing every unmet hypothesis.
 The order matters: the triple (10, 23, 25) meets the first exclusion
 rule's shape except for the ratio condition d1/gcd(d1, d3) != 2, and it
 is realizable, so exclusions must never answer before the catalog.
-
-Reason tags are stable identifiers used in CSV/JSON output:
-
-    TrivialSmallDegree   d1 < 3 (realizable for every tail)
-    SemigroupMember      d3 = s*d1 + t*d2, witness attached
-    EqualFirstPair       d1 = d2, witness attached
-    KnownInstance        catalogued realizable triple
-    Theorem3Exclusion    d2 prime, d1/gcd(d1, d3) != 2, membership failed
-    Theorem4Exclusion    d3 prime, gcd(d1, d2) = 1, membership failed
-    HypothesesFail       neither exclusion rule applies; verdict Unknown
 """
 
 from __future__ import annotations
@@ -33,17 +25,9 @@ TAME = "Tame"
 NOT_TAME = "NotTame"
 UNKNOWN = "Unknown"
 
-TRIVIAL_SMALL_DEGREE = "TrivialSmallDegree"
-SEMIGROUP_MEMBER = "SemigroupMember"
-EQUAL_FIRST_PAIR = "EqualFirstPair"
-KNOWN_INSTANCE = "KnownInstance"
-THEOREM3_EXCLUSION = "Theorem3Exclusion"
-THEOREM4_EXCLUSION = "Theorem4Exclusion"
-HYPOTHESES_FAIL = "HypothesesFail"
-
 # Realizable triples established by explicit constructions that the
-# sufficiency rules cannot reach; only the first ships with a word.
-KNOWN_INSTANCES = ((10, 23, 25), (22, 47, 55))
+# sufficiency rules cannot reach, each with its word builder or None.
+KNOWN_INSTANCES = {(10, 23, 25): automorphisms.example_word, (22, 47, 55): None}
 
 
 @dataclass(frozen=True)
@@ -57,11 +41,11 @@ class Decision:
 
 
 def normalize_triple(values: Sequence[int]) -> tuple[int, int, int]:
-    """Sort a degree triple ascending, validating positivity."""
+    """Sort a degree triple ascending; each degree must be a positive int, not a bool."""
     if len(values) != 3:
         raise ValueError(f"expected three degrees, got {len(values)}")
     for v in values:
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise ValueError(f"degrees must be positive integers, got {values!r}")
     a, b, c = sorted(values)
     return (a, b, c)
@@ -104,8 +88,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _theorem3_unmet(tag: str, d1: int, d2: int, d3: int) -> tuple[str, ...]:
+    """Theorem 3: d2 prime and d1/gcd(d1, d3) != 2."""
+    unmet = () if _is_prime(d2) else (f"{tag} needs a prime d2; {d2} is composite",)
+    if d1 == 2 * (gcd13 := math.gcd(d1, d3)):
+        unmet += (f"{tag} needs d1/gcd(d1, d3) != 2; {d1}/{gcd13} = 2",)
+    return unmet
+
+
+def _theorem4_unmet(tag: str, d1: int, d2: int, d3: int) -> tuple[str, ...]:
+    """Theorem 4: d3 prime and gcd(d1, d2) = 1."""
+    unmet = () if _is_prime(d3) else (f"{tag} needs a prime d3; {d3} is composite",)
+    if (gcd12 := math.gcd(d1, d2)) != 1:
+        unmet += (f"{tag} needs gcd(d1, d2) = 1; gcd({d1}, {d2}) = {gcd12}",)
+    return unmet
+
+
+# The NotTame rules, (tag, unmet) in the order decide tries them.  unmet
+# returns the text of each unmet hypothesis, built only when unmet, and
+# the rule fires when there is none.  decide reaches them only after
+# every Tame rule failed, as the theorems need.
+EXCLUSIONS = (
+    ("Theorem3Exclusion", _theorem3_unmet),
+    ("Theorem4Exclusion", _theorem4_unmet),
+)
+
+
 def decide(triple: Sequence[int]) -> Decision:
     """Decision for a sorted triple d1 <= d2 <= d3; first rule wins.
+
+    The Tame rules come first, then the rules of EXCLUSIONS; when none
+    fires, HypothesesFail (Unknown) lists the unmet hypotheses of
+    EXCLUSIONS, in order, as "<tag> needs <hypothesis>; <why not>".
 
     Raises on unsorted input; use normalize_triple first.  Every Tame
     answer through SemigroupMember or EqualFirstPair, and d1 = 1 and
@@ -129,43 +143,28 @@ def decide(triple: Sequence[int]) -> Decision:
 
     if d1 < 3:
         witness = tuple(automorphisms.witness_linear_first(d2, d3)) if d1 == 1 else None
-        return Decision(triple, TAME, TRIVIAL_SMALL_DEGREE, witness=witness)
+        return Decision(triple, TAME, "TrivialSmallDegree", witness=witness)
 
     rep = semigroup.membership(d3, d1, d2)
     if rep is not None:
         witness = tuple(automorphisms.witness_semigroup(d1, d2, rep))
-        return Decision(triple, TAME, SEMIGROUP_MEMBER, witness=witness, representation=rep)
+        return Decision(triple, TAME, "SemigroupMember", witness=witness, representation=rep)
 
     if d1 == d2:
         witness = tuple(automorphisms.witness_equal_pair(d1, d3))
-        return Decision(triple, TAME, EQUAL_FIRST_PAIR, witness=witness)
+        return Decision(triple, TAME, "EqualFirstPair", witness=witness)
 
     if triple in KNOWN_INSTANCES:
-        witness = None
-        if triple == (10, 23, 25):
-            witness = tuple(automorphisms._checked(automorphisms.example_word(), triple))
-        return Decision(triple, TAME, KNOWN_INSTANCE, witness=witness)
+        build = KNOWN_INSTANCES[triple]
+        witness = build and tuple(automorphisms._checked(build(), triple))
+        return Decision(triple, TAME, "KnownInstance", witness=witness)
 
-    gcd13, gcd12 = math.gcd(d1, d3), math.gcd(d1, d2)
-    ratio_is_2, coprime = d1 == 2 * gcd13, gcd12 == 1
-    d2_prime = _is_prime(d2)
-    if d2_prime and not ratio_is_2:
-        return Decision(triple, NOT_TAME, THEOREM3_EXCLUSION)
-
-    d3_prime = _is_prime(d3)
-    if d3_prime and coprime:
-        return Decision(triple, NOT_TAME, THEOREM4_EXCLUSION)
-
-    failed = []
-    if not d2_prime:
-        failed.append(f"Theorem3Exclusion needs a prime d2; {d2} is composite")
-    if ratio_is_2:
-        failed.append(f"Theorem3Exclusion needs d1/gcd(d1, d3) != 2; {d1}/{gcd13} = 2")
-    if not d3_prime:
-        failed.append(f"Theorem4Exclusion needs a prime d3; {d3} is composite")
-    if not coprime:
-        failed.append(f"Theorem4Exclusion needs gcd(d1, d2) = 1; gcd({d1}, {d2}) = {gcd12}")
-    return Decision(triple, UNKNOWN, HYPOTHESES_FAIL, failed_hypotheses=tuple(failed))
+    failed = ()
+    for tag, unmet in EXCLUSIONS:
+        if not (texts := unmet(tag, d1, d2, d3)):
+            return Decision(triple, NOT_TAME, tag)
+        failed += texts
+    return Decision(triple, UNKNOWN, "HypothesesFail", failed_hypotheses=failed)
 
 
 def sorted_triples(max_degree: int) -> Iterable[tuple[int, int, int]]:

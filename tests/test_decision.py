@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import sympy
 
@@ -16,6 +21,8 @@ from tamedeg import (
     variables,
 )
 from tamedeg.decision import KNOWN_INSTANCES, sorted_triples
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def assert_witness_realizes(decision):
@@ -141,6 +148,82 @@ class TestLargeTail:
         assert [step.shift for step in d.witness] == [x**4, x**10**9]
 
 
+class TestRuleOrder:
+    @pytest.mark.parametrize("triple, reason", [
+        ((3, 5, 10**30), "SemigroupMember"),
+        ((1, 4, 10**30), "TrivialSmallDegree"),
+        ((5, 5, 7), "EqualFirstPair"),
+        ((10, 23, 25), "KnownInstance"),
+    ])
+    def test_tame_answers_test_no_primality(self, triple, reason, monkeypatch):
+        # _is_prime raises at or above its bound, so a Tame answer there
+        # shows the exclusion rules were never reached
+        assert 10**30 >= decision._PRIME_BOUND
+        tested = []
+        monkeypatch.setattr(decision, "_is_prime", tested.append)
+        d = decide(triple)
+        assert (d.verdict, d.reason) == ("Tame", reason)
+        assert tested == []
+
+
+def exclusion_oracle(d1, d2, d3):
+    """(verdict, reason, failed hypotheses) of the two exclusion theorems
+    for 3 <= d1 < d2 <= d3 with d3 outside d1N + d2N, from sympy and gcd."""
+    d2_prime, d3_prime = sympy.isprime(d2), sympy.isprime(d3)
+    ratio = d1 // math.gcd(d1, d3)
+    if d2_prime and ratio != 2:
+        return ("NotTame", "Theorem3Exclusion", ())
+    if d3_prime and math.gcd(d1, d2) == 1:
+        return ("NotTame", "Theorem4Exclusion", ())
+    failed = []
+    if not d2_prime:
+        failed.append(f"Theorem3Exclusion needs a prime d2; {d2} is composite")
+    if ratio == 2:
+        failed.append(f"Theorem3Exclusion needs d1/gcd(d1, d3) != 2; {d1}/{d1 // 2} = 2")
+    if not d3_prime:
+        failed.append(f"Theorem4Exclusion needs a prime d3; {d3} is composite")
+    if math.gcd(d1, d2) != 1:
+        failed.append(f"Theorem4Exclusion needs gcd(d1, d2) = 1; gcd({d1}, {d2}) = {math.gcd(d1, d2)}")
+    return ("Unknown", "HypothesesFail", tuple(failed))
+
+
+class TestExclusionOracle:
+    def test_every_non_member_up_to_60(self):
+        reasons = set()
+        for d3 in range(3, 61):
+            for d2 in range(4, d3 + 1):
+                for d1 in range(3, d2):
+                    member = any((d3 - s * d1) % d2 == 0 for s in range(d3 // d1 + 1))
+                    if member or (d1, d2, d3) in KNOWN_INSTANCES:
+                        continue
+                    d = decide((d1, d2, d3))
+                    expected = exclusion_oracle(d1, d2, d3)
+                    assert (d.verdict, d.reason, d.failed_hypotheses) == expected, (d1, d2, d3)
+                    assert (d.witness, d.representation) == (None, None)
+                    reasons.add(d.reason)
+        assert reasons == {"Theorem3Exclusion", "Theorem4Exclusion", "HypothesesFail"}
+
+
+class TestDigestTool:
+    def test_max_20(self):
+        # the output of tools/decision_digest.py --max 20, computed
+        # before decide's exclusion rules became a table
+        done = subprocess.run(
+            [sys.executable, "tools/decision_digest.py", "--max", "20"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "max 20 sha256 7664d55dbd4a04967fee69536925ca13f9d2631d3a1574d3af0f17680caa8419 decisions 1540",
+            "EqualFirstPair 135",
+            "HypothesesFail 318",
+            "SemigroupMember 459",
+            "Theorem3Exclusion 152",
+            "Theorem4Exclusion 76",
+            "TrivialSmallDegree 400",
+        ]
+
+
 class TestPrimality:
     def test_matches_sympy(self):
         ours = [n for n in range(1, 20_001) if decision._is_prime(n)]
@@ -195,6 +278,13 @@ class TestNormalize:
     def test_noninteger(self):
         with pytest.raises(ValueError):
             normalize_triple((2.5, 3, 4))
+
+    @pytest.mark.parametrize("triple", [(True, 2, 3), (2, 3, True), (1, 2, False)])
+    def test_bool_rejected(self, triple):
+        with pytest.raises(ValueError, match="degrees must be positive integers"):
+            normalize_triple(triple)
+        with pytest.raises(ValueError, match="degrees must be positive integers"):
+            decide(sorted(triple))
 
 
 class TestScan:
