@@ -20,7 +20,8 @@ the cap, default or explicit, to deg F_target; the trimmed columns are
 zero in every solution, so the answer is the same.  Dependent leading
 forms can cancel above deg F_target: the degree-(10, 23, 25) map needs
 a u^5 term of composed degree 50 = lcm(10, 25) to reduce its degree-23
-component, above the default cap of 46, so verify.py passes cap 50.
+component, above the default cap of 46; verify.py derives that cap
+from the claimed degrees.
 
 Within the capped support the problem is linear: one unknown
 coefficient per support monomial, one equation per monomial of the
@@ -302,8 +303,6 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
             d = sum(m)
             if d >= 1:
                 by_degree.setdefault(d, {}).setdefault(m, {})[col] = c
-    if not by_degree:
-        return None
     top_degree = max(by_degree)
 
     def rows_for(level: int) -> list[Row]:

@@ -7,17 +7,22 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tamedeg import Polynomial, compose_word, decide, parse_map_file, parse_word_file, scan, scan_rows
-from tamedeg import cli
+from tamedeg import cli, reduction
 from tamedeg.cli import main
 from tamedeg.parsing import format_map_file, format_polynomial, format_word_file
 from tamedeg.automorphisms import build_example_map, example_word
 from tamedeg.decision import sorted_triples
 from tamedeg.verify import BRACKET_XY, BRACKET_XZ, BRACKET_YZ
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -73,6 +78,28 @@ class TestDecide:
         code, out, err = run(capsys, "decide", "3", "5", "11", *extra)
         assert code == 0, err
         assert "SemigroupMember" in out
+
+    def test_unknown_prints_each_unmet_hypothesis(self, capsys):
+        code, out, _ = run(capsys, "decide", "4", "6", "9")
+        assert code == 0
+        assert out.splitlines() == [
+            "triple: (4, 6, 9)",
+            "verdict: Unknown",
+            "reason: HypothesesFail",
+            "unmet: Theorem3Exclusion needs a prime d2; 6 is composite",
+            "unmet: Theorem4Exclusion needs a prime d3; 9 is composite",
+            "unmet: Theorem4Exclusion needs gcd(d1, d2) = 1; gcd(4, 6) = 2",
+        ]
+
+    def test_witness_flag_on_a_verdict_without_a_word(self, capsys):
+        code, out, _ = run(capsys, "decide", "2", "4", "5", "--witness")
+        assert code == 0
+        assert out.splitlines() == [
+            "triple: (2, 4, 5)",
+            "verdict: Tame",
+            "reason: TrivialSmallDegree",
+            "witness: none recorded for this verdict",
+        ]
 
     def test_input_is_normalized(self, capsys):
         code, out, _ = run(capsys, "decide", "25", "10", "23")
@@ -551,6 +578,18 @@ class TestVerifyExample:
         assert len(payload["checks"]) == 12
         assert all(c["passed"] is True for c in payload["checks"])
 
+    def test_failed_checks_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(reduction, "find_elementary_reduction", lambda *args: None)
+        code, out, _ = run(capsys, "verify-example")
+        assert code == 1
+        assert out.splitlines()[-4:] == [
+            "FAIL reduction-g: expected 256/25*u^5 + v^2, computed none",
+            "FAIL reduction-residual: expected z + 3*x^2*y + 3*x*y^3 + y^5, computed none",
+            "FAIL reduction-degree: expected 5, computed none",
+            "9/12 checks passed",
+        ]
+        assert sum(1 for line in out.splitlines() if line.startswith("PASS ")) == 9
+
 
 class TestDigest:
     def test_decision_digest_to_20(self):
@@ -650,6 +689,27 @@ class TestDigest:
             20572, "984f3e58f49d3d2bb66fa491d7cf0f81fed3e28960e17757f978729bea8594a4")
         errors = stderr.getvalue().encode()
         assert hashlib.sha256(errors).hexdigest() == "695c379285566f827c8d8780c583f09d22fcebf62fcbb5e223ef332e51b28cf4"
+
+
+class TestDigestTool:
+    def test_cli_digest(self):
+        # the output of tools/cli_digest.py, computed before verify_example
+        # became one list of claims
+        done = subprocess.run([sys.executable, "tools/cli_digest.py"], cwd=ROOT, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "decide calls 1459 sha256 d8bf4f9889819102539650af536aefcb824cdef95ca64c2d54ed2d45ec3453b4",
+            "scan calls 2 sha256 3fb72ead2a69634402d08a943e16bf82546199cd6cfe84dba9893884f5ab881f",
+            "bracket calls 16 sha256 96fc5a3f391cb5734912e000b7cab4f53c2aeea196eb3b50e75843f82f3f1505",
+            "su-check calls 10 sha256 db2eae35161d7475b3b81ea90a37e6a42fdb89fa299195ed7a24267242741ab7",
+            "reduce calls 166 sha256 43a4546ca7a5389f9cd667c861f81683f5d09ab88ae342376396883dd2acebf3",
+            "semigroup calls 5 sha256 a8a8c6367e61ca33febe791f0129434c7f5472e8ed11415c4f7a9f64d9d1ee01",
+            "mdeg calls 4 sha256 df65eb81f6be0f0ed048efb255243c12c3bb8f34b1e2e4dcf8732acdd627459a",
+            "compose calls 7 sha256 159ae936ee286e8542a3522e75cc3a4b057a2fd3b68fa622c2f8e465f09193e0",
+            "verify-example calls 2 sha256 fba17b49f8f4311c5b3eafb0d8794665ac177b8493264854f617a8b9dad2184f",
+            "total calls 1671 sha256 f097154fbc0b19fca77115e3e7906b277fa2013afa9fa47178baf6977998872a",
+        ]
 
 
 class TestUsage:
