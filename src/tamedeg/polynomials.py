@@ -11,10 +11,13 @@ empty term mapping and degree NEG_INFINITY, so that
 hold with no special cases (NEG_INFINITY absorbs addition and orders
 below every integer).
 
-One-term operands take an O(terms) path: a product with a one-term
-polynomial shifts the other factor's exponents and scales its
-coefficients, and a one-term power scales the exponent tuple and powers
-the coefficient, so x^s * y^t or z^d costs no repeated squaring.
+Products of Polynomials over Fractions, and the integer products that
+`reduction` builds its systems from after clearing denominators, both
+multiply through one function, `_product`.  One-term operands take
+an O(terms) path: a product with a one-term factor shifts the other
+factor's exponents and scales its coefficients, and a one-term power
+scales the exponent tuple and powers the coefficient, so x^s * y^t or
+z^d costs no repeated squaring.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import pairwise
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 NEG_INFINITY = float("-inf")
@@ -39,6 +43,29 @@ def _coerce(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+
+
+def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """p*q for term mappings with nonzero int or Fraction coefficients.
+
+    A one-term factor shifts the other factor's exponents and scales its
+    coefficients: shifting by one monomial is injective and a product of
+    nonzero coefficients is nonzero, so nothing merges and nothing is
+    checked for zero.  Otherwise the term pairs accumulate in one dict
+    and the zero sums are dropped in one pass at the end.
+    """
+    if len(p) == 1 or len(q) == 1:
+        single, many = (q, p) if len(q) == 1 else (p, q)
+        ((mb, cb),) = single.items()
+        if any(mb):
+            return {tuple(map(add, ma, mb)): ca * cb for ma, ca in many.items()}
+        return {ma: ca * cb for ma, ca in many.items()}
+    out: dict[Monomial, Scalar] = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = tuple(map(add, ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
 
 
 def canonical_key(monomial: Monomial) -> tuple:
@@ -224,27 +251,7 @@ class Polynomial:
         if other is NotImplemented:
             return other
         self._check_arity(other)
-        if len(self._terms) == 1 or len(other._terms) == 1:
-            # Shifting by one monomial is injective and a product of
-            # nonzero Fractions is nonzero: no merging, no zero check.
-            single, many = (other, self) if len(other._terms) == 1 else (self, other)
-            ((mb, cb),) = single._terms.items()
-            if any(mb):
-                terms = {tuple(a + b for a, b in zip(ma, mb)): ca * cb for ma, ca in many._terms.items()}
-            else:
-                terms = {ma: ca * cb for ma, ca in many._terms.items()}
-            degree = None if many._degree is None else many._degree + sum(mb)
-            return Polynomial._from_clean(self._arity, terms, degree)
-        terms: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = tuple(a + b for a, b in zip(ma, mb))
-                s = terms.get(m, 0) + ca * cb
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Polynomial._from_clean(self._arity, terms)
+        return Polynomial._from_clean(self._arity, _product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -280,10 +287,10 @@ class Polynomial:
         """Substitute args[i] for variable i.  All args must share one arity."""
         if len(args) != self._arity:
             raise ValueError(f"expected {self._arity} substitution arguments, got {len(args)}")
+        if not all(isinstance(a, Polynomial) for a in args):
+            raise TypeError("substitution arguments must be Polynomials")
         target_arity = args[0].arity
         for a in args:
-            if not isinstance(a, Polynomial):
-                raise TypeError("substitution arguments must be Polynomials")
             if a.arity != target_arity:
                 raise ValueError(f"arity mismatch among substitution arguments: {a.arity} vs {target_arity}")
         # Powers at the exponents in use, each from the previous one: one

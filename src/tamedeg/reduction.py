@@ -33,7 +33,9 @@ column (s, t) stands for A^s B^t / (a^s b^t) and the right-hand side
 for T/tau.  Each equation is scaled by the lcm of its own columns'
 denominators, and elimination is fraction-free.  Fractions appear only
 when the solutions and the residual are read out, and in the soundness
-recheck, which composes g(F_j, F_k) with Polynomial arithmetic.
+recheck, which composes g(F_j, F_k) with Polynomial arithmetic.  The
+products A^s B^t and the Polynomial products of that recheck both go
+through `polynomials._product`.
 
 The rows go in one degree level at a time, from the top down, and the
 most constrained consistent system fixes the residual degree.  Its
@@ -53,10 +55,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
-from operator import add
 
 from . import poisson
-from .polynomials import Monomial, Polynomial
+from .polynomials import Monomial, Polynomial, _product
 from .automorphisms import PolyMap
 
 # Upper bound on the support probes of one search, over all levels it
@@ -90,16 +91,6 @@ class ReductionResult:
 # An equation row is sparse: {column: nonzero int}.  Columns 0..ncols-1
 # hold the unknowns' coefficients and column ncols the right-hand side.
 Row = dict[int, int]
-
-
-def _product(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
-    """p*q for integer term dicts, zero sums dropped."""
-    out: dict[Monomial, int] = {}
-    for a, c in p.items():
-        for b, d in q.items():
-            m = tuple(map(add, a, b))
-            out[m] = out.get(m, 0) + c * d
-    return {m: c for m, c in out.items() if c}
 
 
 def _primitive(row: Row) -> Row:
@@ -285,13 +276,12 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     T, tau = f_target.cleared()
     one = {(0, 0, 0): 1}
     powers_j = [one]
-    while len(powers_j) <= max(st[0] for st in support):
+    for _ in range(max(s for s, _ in support)):
         powers_j.append(_product(powers_j[-1], A))
     powers_k = [one]
-    while len(powers_k) <= max(st[1] for st in support):
+    for _ in range(max(t for _, t in support)):
         powers_k.append(_product(powers_k[-1], B))
-    products = [_product(powers_j[s], powers_k[t]) if s and t else powers_j[s] if s else powers_k[t]
-                for s, t in support]
+    products = [_product(powers_j[s], powers_k[t]) for s, t in support]
     denominators = [a**s * b**t for s, t in support] + [tau]
 
     # One equation per monomial, read off each column's terms once, and

@@ -52,8 +52,9 @@ def test_value_error(call, message):
 @pytest.mark.parametrize("call, message", [
     (lambda: compose_word([object()]), "not a tame step: <object object at "),
     (lambda: x.compose([x, 1, z]), "substitution arguments must be Polynomials"),
+    (lambda: x.compose([1, y, z]), "substitution arguments must be Polynomials"),
     (lambda: ElementaryStep(0, 1, 5), "shift must be a Polynomial"),
-], ids=["compose-word-object", "compose-int", "step-int-shift"])
+], ids=["compose-word-object", "compose-int", "compose-int-first", "step-int-shift"])
 def test_type_error(call, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
         call()

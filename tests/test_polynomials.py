@@ -17,6 +17,7 @@ from tamedeg import (
     parse_polynomial,
     variables,
 )
+from tamedeg.polynomials import _product
 
 x, y, z = variables(3)
 
@@ -369,7 +370,7 @@ class TestOneTermPaths:
             for product in (single * p, p * single):
                 assert product == expected
                 assert stored_degree_is_exact(product)
-            p.degree()  # the second round carries p's cached degree
+            p.degree()  # the second round multiplies a p whose degree is cached
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.just(0), st.integers(-50, 50), fractions), any_polynomials)
@@ -396,6 +397,20 @@ class TestOneTermPaths:
         assert hash(power) == hash(c ** k)
         # Any one-term polynomial to the power 0 is the constant 1.
         assert hash(Polynomial.monomial(m, 5) ** 0) == hash(1)
+
+
+class TestIntegerProduct:
+    """`_product` over the integer numerators that `cleared` gives, the
+    products that the reduction system is built from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_polynomials, any_polynomials)
+    def test_cleared_product_reads_as_polynomial_product(self, p, q):
+        P, D = p.cleared()
+        Q, E = q.cleared()
+        for product in (_product(P, Q), _product(Q, P)):
+            assert all(type(c) is int and c for c in product.values())
+            assert Polynomial(3, {m: Fraction(c, D * E) for m, c in product.items()}) == p * q
 
 
 def test_str_uses_canonical_form():
