@@ -8,8 +8,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The trailing comment of each line says whether it is a code line and
-# numbers the code lines; inside strings there is no room for one.
+# Each code line ends in "# n", numbering the code lines in order; in a
+# line inside a string the label is part of the string.  The other
+# lines are not code lines.
 FIXTURE = '''"""Module docstring,
 over two lines."""
 
