@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -119,15 +120,7 @@ def _cmd_su_check(args: argparse.Namespace) -> int:
     g = _polynomial_argument(args.g, names, args.file)
     big_g = _polynomial_argument(args.G, ("u", "v"), args.file)
     report = poisson.su_bound(f, g, big_g)
-    payload = {
-        "p": report.p,
-        "q": report.q,
-        "r": report.r,
-        "bracket_degree": report.bracket_degree,
-        "lhs_degree": _finite(report.lhs_degree),
-        "rhs_bound": report.rhs_bound,
-        "holds": report.holds,
-    }
+    payload = {**dataclasses.asdict(report), "lhs_degree": _finite(report.lhs_degree)}
     if args.json:
         print(json.dumps(payload))
     else:
@@ -206,13 +199,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _cmd_verify_example(args: argparse.Namespace) -> int:
     report = verify.verify_example()
     if args.json:
-        print(json.dumps({
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "expected": c.expected, "computed": c.computed}
-                for c in report.checks
-            ],
-        }))
+        print(json.dumps({"passed": report.passed, "checks": [dataclasses.asdict(c) for c in report.checks]}))
     else:
         for c in report.checks:
             if c.passed:

@@ -11,13 +11,18 @@ empty term mapping and degree NEG_INFINITY, so that
 hold with no special cases (NEG_INFINITY absorbs addition and orders
 below every integer).
 
-Products of Polynomials over Fractions, and the integer products that
-`reduction` builds its systems from after clearing denominators, both
-multiply through one function, `_product`.  One-term operands take
-an O(terms) path: a product with a one-term factor shifts the other
-factor's exponents and scales its coefficients, and a one-term power
-scales the exponent tuple and powers the coefficient, so x^s * y^t or
-z^d costs no repeated squaring.
+Products of Polynomials over Fractions, the term products of
+`compose`, and the integer products that `reduction` builds its systems
+from after clearing denominators all multiply through one function,
+`_product`.  One-term operands take an O(terms) path: a product with a
+one-term factor shifts the other factor's exponents and scales its
+coefficients, and a one-term power scales the exponent tuple and powers
+the coefficient, so x^s * y^t or z^d costs no repeated squaring.
+
+Sums of many terms (the constructor, `_product`, `compose`) add into one
+dict and drop the zero sums in one pass at the end.  The total degree
+is read off the terms by degree(), the only place that computes it,
+and cached there.
 """
 
 from __future__ import annotations
@@ -105,32 +110,25 @@ class Polynomial:
                     if not isinstance(e, int) or e < 0:
                         raise ValueError(f"exponents must be nonnegative integers, got {monomial}")
                 coeff = _coerce(coeff)
-                if coeff:
-                    existing = clean.get(monomial)
-                    if existing is not None:
-                        coeff = existing + coeff
-                        if coeff:
-                            clean[monomial] = coeff
-                        else:
-                            del clean[monomial]
-                    else:
-                        clean[monomial] = coeff
-        self._terms = clean
+                # A first occurrence is stored as is: adding it to 0 would
+                # build a new Fraction per term, most of a parse's cost.
+                clean[monomial] = clean[monomial] + coeff if monomial in clean else coeff
+        self._terms = {m: c for m, c in clean.items() if c}
         self._degree: int | float | None = None
         self._hash: int | None = None
 
     @classmethod
-    def _from_clean(cls, arity: int, terms: dict[Monomial, Fraction], degree: int | float | None = None) -> Polynomial:
+    def _from_clean(cls, arity: int, terms: dict[Monomial, Fraction]) -> Polynomial:
         """A polynomial owning `terms`, skipping __init__'s validation.
 
         Only for terms derived from valid polynomials: exponent tuples of
-        length `arity` and nonzero Fraction coefficients.  `degree` is
-        the total degree when the caller already knows it.
+        length `arity` and nonzero Fraction coefficients.  The degree is
+        left for degree() to read off the terms.
         """
         result = cls.__new__(cls)
         result._arity = arity
         result._terms = terms
-        result._degree = degree
+        result._degree = None
         result._hash = None
         return result
 
@@ -205,7 +203,7 @@ class Polynomial:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading form")
         d = self.degree()
-        return Polynomial._from_clean(self._arity, {m: c for m, c in self._terms.items() if sum(m) == d}, d)
+        return Polynomial._from_clean(self._arity, {m: c for m, c in self._terms.items() if sum(m) == d})
 
     # ---- arithmetic ----
 
@@ -237,7 +235,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._from_clean(self._arity, {m: -c for m, c in self._terms.items()}, self._degree)
+        return Polynomial._from_clean(self._arity, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
         other = self._lift(other)
@@ -260,8 +258,7 @@ class Polynomial:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
         if len(self._terms) == 1:
             ((m, c),) = self._terms.items()
-            return Polynomial._from_clean(self._arity, {tuple(e * exponent for e in m): c ** exponent},
-                                          sum(m) * exponent)
+            return Polynomial._from_clean(self._arity, {tuple(e * exponent for e in m): c ** exponent})
         result = Polynomial.constant(1, self._arity)
         base = self
         e = exponent
@@ -302,15 +299,16 @@ class Polynomial:
                 step = a if e - previous == 1 else a ** (e - previous)
                 table[e] = table[previous] * step if previous else step
             powers.append(table)
-        result = Polynomial.zero(target_arity)
         one = (0,) * target_arity
+        out: dict[Monomial, Fraction] = {}
         for m, c in self._terms.items():
-            prod = Polynomial._from_clean(target_arity, {one: c}, 0)
+            prod = {one: c}
             for i, e in enumerate(m):
                 if e:
-                    prod = prod * powers[i][e]
-            result = result + prod
-        return result
+                    prod = _product(prod, powers[i][e]._terms)
+            for mp, cp in prod.items():
+                out[mp] = out.get(mp, 0) + cp
+        return Polynomial._from_clean(target_arity, {m: c for m, c in out.items() if c})
 
     # ---- comparison ----
 

@@ -42,6 +42,13 @@ class TestConstruction:
         p = Polynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
         assert p.terms() == {(0, 1): Fraction(2)}
 
+    def test_repeated_monomials_merge(self):
+        m = (1, 2, 0)
+        # cancelled, then brought back
+        assert Polynomial(3, [(m, 1), (m, -1), (m, 2)]).terms() == {m: Fraction(2)}
+        zero = Polynomial(3, [(m, 1), ((0, 0, 1), 3), (m, -1), ((0, 0, 1), -3)])
+        assert zero.is_zero and zero == Polynomial.zero(3) and zero.degree() == NEG_INFINITY
+
     def test_coefficients_coerced_to_fraction(self):
         p = Polynomial(1, {(2,): 3})
         assert p.coefficient((2,)) == Fraction(3)
@@ -386,8 +393,24 @@ class TestOneTermPaths:
     @settings(max_examples=100, deadline=None)
     @given(any_polynomials, any_polynomials, any_polynomials)
     def test_compose_degree_is_exact(self, p, q, r):
-        # compose builds its term products from one-term constants.
+        # compose sums its term products, made by _product, in one dict.
         assert stored_degree_is_exact(p.compose([q, r, q * r]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_polynomials, st.lists(any_polynomials, min_size=3, max_size=3))
+    def test_compose_is_sum_of_term_products(self, p, args):
+        one = Polynomial.constant(1, 3)
+        expected = sum((c * math.prod((a ** e for a, e in zip(args, m)), start=one)
+                        for m, c in p.terms().items()), Polynomial.zero(3))
+        assert p.compose(args) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_polynomials, any_polynomials)
+    def test_compose_cancels_after_substitution(self, q, r):
+        # Distinct terms of p that meet after substitution cancel.
+        assert (x - y).compose([q, q, r]).is_zero
+        assert (x * y - z + 1).compose([q, r, q * r]) == 1
+        assert (x**2 - 2 * x * z + y * z + 3).compose([q, r, r]) == q**2 - 2 * q * r + r**2 + 3
 
     @settings(max_examples=50, deadline=None)
     @given(fractions, monomials, st.integers(0, 8))
