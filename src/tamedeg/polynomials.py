@@ -12,12 +12,14 @@ hold with no special cases (NEG_INFINITY absorbs addition and orders
 below every integer).
 
 Products of Polynomials over Fractions, the term products of
-`compose`, and the integer products that `reduction` builds its systems
-from after clearing denominators all multiply through one function,
-`_product`.  One-term operands take an O(terms) path: a product with a
-one-term factor shifts the other factor's exponents and scales its
-coefficients, and a one-term power scales the exponent tuple and powers
-the coefficient, so x^s * y^t or z^d costs no repeated squaring.
+`compose`, and the integer products of powers and of the systems that
+`reduction` builds after clearing denominators all multiply through one
+function, `_product`.  One-term operands take an O(terms) path: a
+product with a one-term factor shifts the other factor's exponents and
+scales its coefficients, and a one-term power scales the exponent tuple
+and powers the coefficient, so x^s * y^t or z^d costs no repeated
+squaring.  A many-term power clears its denominators once, squares the
+integer numerators through `_product` and divides by d^k once at the end.
 
 Sums of many terms (the constructor, `_product`, `compose`) add into one
 dict and drop the zero sums in one pass at the end.  The total degree
@@ -225,11 +227,13 @@ class Polynomial:
         self._check_arity(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = terms.get(m, 0) + c
+            # A first occurrence is stored as is, as in the constructor:
+            # 0 + c would build a new Fraction.
+            s = c if (old := terms.get(m)) is None else old + c
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
+                del terms[m]
         return Polynomial._from_clean(self._arity, terms)
 
     __radd__ = __add__
@@ -254,20 +258,28 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
+        """self ** exponent for an int exponent >= 0; any power 0 is 1.
+
+        A one-term power scales the exponent tuple and powers the
+        coefficient.  Otherwise the numerators of `cleared()` are raised
+        by repeated squaring over ints and read back over d ** exponent
+        once, since (N/d)^k = N^k/d^k.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
         if len(self._terms) == 1:
             ((m, c),) = self._terms.items()
             return Polynomial._from_clean(self._arity, {tuple(e * exponent for e in m): c ** exponent})
-        result = Polynomial.constant(1, self._arity)
-        base = self
+        base, d = self.cleared()
+        result: dict[Monomial, int] = {(0,) * self._arity: 1}
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = _product(result, base)
+            base = _product(base, base) if e > 1 else base
             e >>= 1
-        return result
+        d **= exponent
+        return Polynomial._from_clean(self._arity, {m: Fraction(n, d) for m, n in result.items()})
 
     # ---- calculus and substitution ----
 

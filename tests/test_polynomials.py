@@ -329,16 +329,19 @@ def expand(p: Polynomial, q: Polynomial) -> Polynomial:
                                 for mp, cp in p.terms().items() for mq, cq in q.terms().items()])
 
 
-def stored_degree_is_exact(p: Polynomial) -> bool:
-    return p.degree() == max((sum(m) for m in p.terms()), default=NEG_INFINITY)
-
-
 one_terms = st.builds(Polynomial.monomial, monomials, fractions.filter(bool))
 any_polynomials = st.one_of(
     st.just(Polynomial.zero(3)),
     fractions.map(lambda c: Polynomial.constant(c, 3)),
     one_terms,
     polynomials,
+)
+mixed_denominators = st.sampled_from([Fraction(16, 5), Fraction(1, 3), Fraction(-7, 12), Fraction(5, 8), -2, 1])
+mixed_denominator_polynomials = st.one_of(
+    st.just(Polynomial.zero(3)),
+    mixed_denominators.map(lambda c: Polynomial.constant(c, 3)),
+    st.builds(Polynomial.monomial, monomials, mixed_denominators),
+    st.dictionaries(monomials, mixed_denominators, min_size=2, max_size=4).map(lambda d: Polynomial(3, d)),
 )
 small_scalars = st.sampled_from([1, -1, 2, Fraction(-1, 2), Fraction(3, 2)])
 
@@ -356,7 +359,8 @@ class TestOneTermPaths:
             expanded = expand(expanded, p)
         power = p ** k
         assert power == product == expanded
-        assert stored_degree_is_exact(power)
+        if p:
+            assert power.degree() == k * p.degree()
 
     @settings(max_examples=30, deadline=None)
     @given(monomials, small_scalars, st.integers(0, 10**6))
@@ -367,7 +371,6 @@ class TestOneTermPaths:
         c = Fraction(c)
         assert (coeff.numerator, coeff.denominator) == (c.numerator ** k, c.denominator ** k)
         assert power.degree() == sum(m) * k
-        assert stored_degree_is_exact(power)
 
     @settings(max_examples=150, deadline=None)
     @given(one_terms, any_polynomials)
@@ -376,7 +379,7 @@ class TestOneTermPaths:
         for _ in range(2):
             for product in (single * p, p * single):
                 assert product == expected
-                assert stored_degree_is_exact(product)
+                assert product.degree() == single.degree() + p.degree()
             p.degree()  # the second round multiplies a p whose degree is cached
 
     @settings(max_examples=150, deadline=None)
@@ -387,14 +390,28 @@ class TestOneTermPaths:
         expected = expand(constant, p)
         for product in (c * p, p * c, constant * p):
             assert product == expected
-            assert product.degree() == expected.degree()
-            assert stored_degree_is_exact(product)
+            assert product.degree() == expected.degree() == constant.degree() + p.degree()
 
     @settings(max_examples=100, deadline=None)
     @given(any_polynomials, any_polynomials, any_polynomials)
     def test_compose_degree_is_exact(self, p, q, r):
-        # compose sums its term products, made by _product, in one dict.
-        assert stored_degree_is_exact(p.compose([q, r, q * r]))
+        # compose sums its term products, made by _product, in one dict;
+        # here they are expanded one factor at a time and summed by the
+        # constructor, which merges equal monomials and drops zero sums.
+        args = (q, r, q * r)
+        expanded = []
+        for m, c in p.terms().items():
+            product = Polynomial.constant(c, 3)
+            for a, e in zip(args, m):
+                for _ in range(e):
+                    product = expand(product, a)
+            expanded.extend(product.terms().items())
+        expected = Polynomial(3, expanded)
+        composed = p.compose(list(args))
+        assert composed == expected
+        bound = max((sum(e * a.degree() for a, e in zip(args, m) if e) for m in p.terms()),
+                    default=NEG_INFINITY)
+        assert composed.degree() == expected.degree() <= bound
 
     @settings(max_examples=150, deadline=None)
     @given(any_polynomials, st.lists(any_polynomials, min_size=3, max_size=3))
@@ -434,6 +451,25 @@ class TestIntegerProduct:
         for product in (_product(P, Q), _product(Q, P)):
             assert all(type(c) is int and c for c in product.values())
             assert Polynomial(3, {m: Fraction(c, D * E) for m, c in product.items()}) == p * q
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_denominator_polynomials, st.integers(0, 6))
+    def test_power_over_common_denominator(self, p, k):
+        # A many-term power raises the cleared numerators and divides by
+        # d**k once; d is the lcm of several distinct denominators here.
+        product = Polynomial.constant(1, 3)
+        expanded = Polynomial.constant(1, 3)
+        for _ in range(k):
+            product = product * p
+            expanded = expand(expanded, p)
+        power = p ** k
+        assert power == product == expanded
+        for c in power.terms().values():
+            assert type(c) is Fraction and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+    def test_power_of_zero(self):
+        assert Polynomial.zero(3) ** 0 == 1
+        assert (Polynomial.zero(3) ** 3).is_zero
 
 
 def test_str_uses_canonical_form():
