@@ -16,7 +16,8 @@ and reads every coefficient off the rule on monomials,
 
     [x^a, x^b] = sum over i < j of (a_i b_j - a_j b_i) x^(a+b-e_i-e_j) [x_i, x_j],
 
-in one pass over integer term pairs.  Its coefficients are the 2x2
+in one pass over integer term pairs, with the exponents of a + b added
+as packed int keys (`polynomials._packing`).  Its coefficients are the 2x2
 minors of the two gradients, so `PolyMap.jacobian_det` reuses the
 bracket for its cofactors.  Bracket text is printed by
 `parsing.format_bracket`.
@@ -27,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Iterator
 
-from .polynomials import NEG_INFINITY, Polynomial, divide_homogeneous
+from .polynomials import NEG_INFINITY, Polynomial, _packing, divide_homogeneous
 
 
 class BracketValue:
@@ -108,7 +108,9 @@ def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
     c' x^b of F and G adds (a_i b_j - a_j b_i) c c' to the coefficient
     of x^(a+b-e_i-e_j) on [x_i, x_j], summed over Python ints; each
     nonzero sum becomes one Fraction over D*E.  A nonzero weight needs
-    a_i + b_i >= 1 and a_j + b_j >= 1, so no exponent drops below zero.
+    a_i + b_i >= 1 and a_j + b_j >= 1, so no exponent drops below zero
+    and subtracting the packed e_i + e_j from a packed key borrows
+    nothing from the next field.
     """
     if f.arity != g.arity:
         raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
@@ -117,26 +119,24 @@ def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
         raise ValueError("brackets need at least two variables")
     F, D = f.cleared()
     G, E = g.cleared()
-    # sums keyed by a + b; the shift by -e_i - e_j happens once per output term
-    sums = [(i, j, {}) for i in range(n) for j in range(i + 1, n)]
+    pack, unpack = _packing(F, G)
+    e = [pack([int(k == i) for k in range(n)]) for i in range(n)]
+    # sums keyed by packed a + b; the shift by -e_i - e_j happens once per output term
+    sums = [(i, j, e[i] + e[j], {}) for i in range(n) for j in range(i + 1, n)]
+    packed_G = [(pack(b), b, d) for b, d in G.items()]
     for a, c in F.items():
-        for b, d in G.items():
-            s = tuple(map(add, a, b))
+        ka = pack(a)
+        for kb, b, d in packed_G:
+            s = ka + kb
             cd = c * d
-            for i, j, acc in sums:
+            for i, j, _, acc in sums:
                 w = a[i] * b[j] - a[j] * b[i]
                 if w:
                     acc[s] = acc.get(s, 0) + w * cd
     DE = D * E
     coeffs = {}
-    for i, j, acc in sums:
-        terms = {}
-        for s, v in acc.items():
-            if v:
-                m = list(s)
-                m[i] -= 1
-                m[j] -= 1
-                terms[tuple(m)] = Fraction(v, DE)
+    for i, j, unit, acc in sums:
+        terms = {unpack(s - unit): Fraction(v, DE) for s, v in acc.items() if v}
         coeffs[(i, j)] = Polynomial._from_clean(n, terms)
     return BracketValue(n, coeffs)
 

@@ -20,6 +20,11 @@ scales its coefficients, and a one-term power scales the exponent tuple
 and powers the coefficient, so x^s * y^t or z^d costs no repeated
 squaring.  A many-term power clears its denominators once, squares the
 integer numerators through `_product` and divides by d^k once at the end.
+Two many-term operands multiply under packed exponent keys (Monagan and
+Pearce): each exponent tuple becomes one int with a bit field per
+variable, wide enough that adding two keys adds the monomials, and keys
+are unpacked once per output term.  `poisson.poisson_bracket` shares
+the packing.
 
 Sums of many terms (the constructor, `_product`, `compose`) add into one
 dict and drop the zero sums in one pass at the end.  The total degree
@@ -33,8 +38,8 @@ import functools
 import math
 from fractions import Fraction
 from itertools import pairwise
-from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import add, lshift
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 NEG_INFINITY = float("-inf")
 
@@ -52,6 +57,28 @@ def _coerce(value: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
 
+def _packing(p: Mapping[Monomial, Scalar],
+             q: Mapping[Monomial, Scalar]) -> tuple[Callable[[Monomial], int], Callable[[int], Monomial]]:
+    """(pack, unpack) between the monomials of p*q and ints.
+
+    Variable i gets a bit field just wide enough to hold max_p[i] +
+    max_q[i], so a sum of packed keys from p and q is the packed key of
+    the product monomial: no field carries into the next.  With an empty
+    operand there are no fields and every key packs to 0.
+    """
+    shifts: list[int] = []
+    fields: list[tuple[int, int]] = []
+    shift = 0
+    for top in map(add, map(max, zip(*p)), map(max, zip(*q))):
+        shifts.append(shift)
+        fields.append((shift, (1 << top.bit_length()) - 1))
+        shift += top.bit_length()
+    # map over the shifts packs, a comprehension over (shift, mask) pairs
+    # unpacks: each about twice as fast as the other form.
+    return (lambda m: sum(map(lshift, m, shifts)),
+            lambda k: tuple([(k >> s) & mask for s, mask in fields]))
+
+
 def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     """p*q for term mappings with nonzero int or Fraction coefficients.
 
@@ -59,7 +86,8 @@ def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict
     coefficients: shifting by one monomial is injective and a product of
     nonzero coefficients is nonzero, so nothing merges and nothing is
     checked for zero.  Otherwise the term pairs accumulate in one dict
-    and the zero sums are dropped in one pass at the end.
+    under packed keys (`_packing`), in the order of the tuple keys, and
+    the zero sums are dropped in one pass at the end.
     """
     if len(p) == 1 or len(q) == 1:
         single, many = (q, p) if len(q) == 1 else (p, q)
@@ -67,12 +95,17 @@ def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict
         if any(mb):
             return {tuple(map(add, ma, mb)): ca * cb for ma, ca in many.items()}
         return {ma: ca * cb for ma, ca in many.items()}
-    out: dict[Monomial, Scalar] = {}
+    pack, unpack = _packing(p, q)
+    packed_q = [(pack(mb), cb) for mb, cb in q.items()]
+    out: dict[int, Scalar] = {}
     for ma, ca in p.items():
-        for mb, cb in q.items():
-            m = tuple(map(add, ma, mb))
-            out[m] = out.get(m, 0) + ca * cb
-    return {m: c for m, c in out.items() if c}
+        ka = pack(ma)
+        for kb, cb in packed_q:
+            k = ka + kb
+            c = ca * cb
+            # A first occurrence is stored as is: 0 + c would build a new Fraction.
+            out[k] = c if (old := out.get(k)) is None else old + c
+    return {unpack(k): c for k, c in out.items() if c}
 
 
 def canonical_key(monomial: Monomial) -> tuple:
@@ -319,7 +352,7 @@ class Polynomial:
                 if e:
                     prod = _product(prod, powers[i][e]._terms)
             for mp, cp in prod.items():
-                out[mp] = out.get(mp, 0) + cp
+                out[mp] = cp if (old := out.get(mp)) is None else old + cp
         return Polynomial._from_clean(target_arity, {m: c for m, c in out.items() if c})
 
     # ---- comparison ----

@@ -85,11 +85,19 @@ class TestBracketValue:
 
 
 def minor_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
-    """[f, g] from the 2x2 minors df_i*dg_j - df_j*dg_i of the gradients."""
+    """[f, g] from the 2x2 minors df_i*dg_j - df_j*dg_i of the gradients,
+    expanded term by term through the validating constructor, so that no
+    product of polynomials (and no packed key) is involved."""
     n = f.arity
-    df = [f.derivative(i) for i in range(n)]
-    dg = [g.derivative(i) for i in range(n)]
-    return BracketValue(n, {(i, j): df[i] * dg[j] - df[j] * dg[i] for i in range(n) for j in range(i + 1, n)})
+    df = [f.derivative(i).terms() for i in range(n)]
+    dg = [g.derivative(i).terms() for i in range(n)]
+
+    def minor(i, j):
+        return Polynomial(n, [(tuple(a + b for a, b in zip(ma, mb)), sign * ca * cb)
+                              for p, q, sign in ((df[i], dg[j], 1), (df[j], dg[i], -1))
+                              for ma, ca in p.items() for mb, cb in q.items()])
+
+    return BracketValue(n, {(i, j): minor(i, j) for i in range(n) for j in range(i + 1, n)})
 
 
 COEFFICIENTS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 30))
@@ -113,6 +121,9 @@ class TestBracketAgainstMinors:
     @example(pair=(F1, F2))
     @example(pair=(F1, F3))
     @example(pair=(F2, F3))
+    @example(pair=(Polynomial.zero(3), F3))
+    @example(pair=(x**(10**6) * y, y * z + x))
+    @example(pair=(u**3 * v + 2 * u, v**2 - Fraction(1, 3) * u * v))
     def test_matches_minor_formula(self, pair):
         f, g = pair
         assert poisson_bracket(f, g) == minor_bracket(f, g)

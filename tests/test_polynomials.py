@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamedeg import (
@@ -439,9 +439,51 @@ class TestOneTermPaths:
         assert hash(Polynomial.monomial(m, 5) ** 0) == hash(1)
 
 
+def tuple_product(p, q):
+    """p*q for term mappings by adding exponent tuples pair by pair."""
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = tuple(a + b for a, b in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+# 0, 1, the edges 2^k - 1 and 2^k of a k-bit field, and the parser's MAX_EXPONENT.
+field_edges = st.one_of(st.sampled_from([0, 1, 10**6]),
+                        st.integers(1, 20).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k])))
+
+
+@st.composite
+def term_mapping_pairs(draw):
+    """Two term mappings of one arity in 1..5, int or Fraction coefficients."""
+    n = draw(st.integers(1, 5))
+    coeffs = draw(st.sampled_from([st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)])).filter(bool)
+    terms = st.dictionaries(st.tuples(*[field_edges] * n), coeffs, max_size=6)
+    return draw(terms), draw(terms)
+
+
 class TestIntegerProduct:
     """`_product` over the integer numerators that `cleared` gives, the
     products that the reduction system is built from."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_mapping_pairs())
+    @example(({}, {(1, 2): 3}))
+    @example(({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}))
+    @example(({(3, 0): 1, (0, 1): Fraction(1, 2)}, {(1, 0): 2, (0, 10**6): Fraction(-1, 3)}))
+    def test_product_adds_exponent_tuples(self, pair):
+        # Independent of the packed keys: every key, coefficient and the
+        # order of first occurrence match the tuple-add reference.
+        p, q = pair
+        n = len(next(iter(p | q), ()))
+        over_ints = all(type(c) is int for c in (p | q).values())
+        for a, b in (p, q), (q, p):
+            product = _product(a, b)
+            assert list(product.items()) == list(tuple_product(a, b).items())
+            for m, c in product.items():
+                assert type(m) is tuple and len(m) == n and all(type(e) is int for e in m)
+                assert c and (type(c) is int or not over_ints)
 
     @settings(max_examples=150, deadline=None)
     @given(any_polynomials, any_polynomials)
