@@ -12,7 +12,8 @@ variable name or an unsigned number is a product, so `3xy^3` means
 `3*x*y^3`.  Implicit multiplication never consumes a sign, so `x - 2`
 is always a subtraction while `x * -2` negates.  Exponents apply to
 variables only, and there are no parentheses, so every term is a
-single monomial.  Digits and names are ASCII (`0-9`; names match
+single monomial; a variable's exponent in it, summed over its factors,
+is at most MAX_EXPONENT.  Digits and names are ASCII (`0-9`; names match
 `[A-Za-z_][A-Za-z0-9_]*`); any other character, such as `²` or `٣`, is
 a parse error.  Parsing takes time linear in the length of the text.
 
@@ -193,10 +194,14 @@ def parse_polynomial(text: str, names: Sequence[str], line: int = 1, offset: int
                     kind, exponent, start = tokens[pos + 1]
                     if kind != "num":
                         raise _error("expected a natural number after '^'", text, line, start)
-                    if exponent > MAX_EXPONENT:
-                        raise _error(f"exponent {exponent} exceeds the supported bound {MAX_EXPONENT}", text, line, start)
                     pos += 2
-                exps[index[value]] += exponent
+                # Factors of one variable add up, so the bound holds the
+                # running exponent, not each factor's.
+                i = index[value]
+                exps[i] += exponent
+                if exps[i] > MAX_EXPONENT:
+                    what = f"exponent {exponent}" if exponent > MAX_EXPONENT else f"exponent sum {exps[i]} of {value}"
+                    raise _error(f"{what} exceeds the supported bound {MAX_EXPONENT}", text, line, start)
             elif kind == "end":
                 raise _error("unexpected end of input", text, line, start)
             else:

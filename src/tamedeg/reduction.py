@@ -28,14 +28,18 @@ coefficient per support monomial, one equation per monomial of the
 difference that must vanish.  The coefficients are exact rationals,
 but the system is built and solved over Python ints.  Each component
 has its denominators cleared once, F_j = A/a, F_k = B/b and
-F_target = T/tau, and the products A^s B^t are integer polynomials:
-column (s, t) stands for A^s B^t / (a^s b^t) and the right-hand side
-for T/tau.  Each equation is scaled by the lcm of its own columns'
-denominators, and elimination is fraction-free.  Fractions appear only
-when the solutions and the residual are read out, and in the soundness
-recheck, which composes g(F_j, F_k) with Polynomial arithmetic.  The
-products A^s B^t and the Polynomial products of that recheck both go
-through `polynomials._product`.
+F_target = T/tau, and the unknowns are the coefficients of
+h(u, v) = tau * g(u/a, v/b), so that
+
+    T - h(A, B) = tau * (F_target - g(F_j, F_k)).
+
+Column (s, t) is the integer polynomial A^s B^t and the right-hand
+side is T, with no denominators, and elimination is fraction-free.
+Fractions appear only when a solution is read back, g's coefficient on
+(s, t) as h_st * a^s b^t / tau and the residual as T - h(A, B) over tau,
+and in the soundness recheck, which composes g(F_j, F_k) with
+Polynomial arithmetic.  The products A^s B^t and the Polynomial
+products of that recheck both go through `polynomials._product`.
 
 The rows go in one degree level at a time, from the top down, and the
 most constrained consistent system fixes the residual degree.  Its
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from math import gcd, lcm
 
 from . import poisson
@@ -269,24 +273,20 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         return None
     ncols = len(support)
 
-    # The components cleared once, F_j = A/a, F_k = B/b, F_target = T/tau:
-    # column (s, t) is A^s B^t over a^s b^t, and column ncols T over tau.
+    # The components cleared once, F_j = A/a, F_k = B/b, F_target = T/tau.
+    # The unknowns are h's coefficients, h(u, v) = tau * g(u/a, v/b), so
+    # column (s, t) is A^s B^t and column ncols, the right-hand side, T.
     A, a = components[j].cleared()
     B, b = components[k].cleared()
     T, tau = f_target.cleared()
     one = {(0, 0, 0): 1}
-    powers_j = [one]
-    for _ in range(max(s for s, _ in support)):
-        powers_j.append(_product(powers_j[-1], A))
-    powers_k = [one]
-    for _ in range(max(t for _, t in support)):
-        powers_k.append(_product(powers_k[-1], B))
+    powers_j = list(accumulate(repeat(A, max(s for s, _ in support)), _product, initial=one))
+    powers_k = list(accumulate(repeat(B, max(t for _, t in support)), _product, initial=one))
     products = [_product(powers_j[s], powers_k[t]) for s, t in support]
-    denominators = [a**s * b**t for s, t in support] + [tau]
 
     # One equation per monomial, read off each column's terms once, and
     # grouped by total degree so levels can be constrained from the top
-    # down.  Each row is scaled by the lcm of its columns' denominators.
+    # down.
     by_degree: dict[int, dict[Monomial, dict[int, int]]] = {}
     for col, terms in enumerate(products + [T]):
         for m, c in terms.items():
@@ -294,15 +294,6 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
             if d >= 1:
                 by_degree.setdefault(d, {}).setdefault(m, {})[col] = c
     top_degree = max(by_degree)
-
-    def rows_for(level: int) -> list[Row]:
-        equations = by_degree.get(level, {})
-        rows = []
-        for m in sorted(equations):
-            entries = equations[m]
-            scale = lcm(*(denominators[col] for col in entries))
-            rows.append({col: c * (scale // denominators[col]) for col, c in entries.items()})
-        return rows
 
     # Constrain one level at a time from the top down and stop at the
     # first inconsistent one.  The system through level L <= deg_target
@@ -313,22 +304,24 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     pivots: dict[int, int] = {}
     kept: list[int] = []
     for level in range(top_degree, 1, -1):
-        if not all(_echelon_add(rows, pivots, row, ncols) for row in rows_for(level)):
+        equations = by_degree.get(level, {})
+        if not all(_echelon_add(rows, pivots, equations[m], ncols) for m in sorted(equations)):
             break
         if level <= deg_target:
             kept.append(len(rows))
 
     def build_result(solution: list[Fraction]) -> ReductionResult | None:
-        g = Polynomial(2, {st: c for st, c in zip(support, solution) if c})
-        # residual = (T*scale/tau - sum of c*scale/(a^s b^t) * A^s B^t)/scale
+        g = Polynomial(2, {(s, t): c * a**s * b**t / tau for (s, t), c in zip(support, solution) if c})
+        # residual = (scale*T - sum of scale*h_st * A^s B^t) / (scale*tau),
+        # with scale the lcm of h's denominators
         used = [(col, c) for col, c in enumerate(solution) if c]
-        scale = lcm(tau, *(c.denominator * denominators[col] for col, c in used))
-        numerators = {m: c * (scale // tau) for m, c in T.items()}
+        scale = lcm(*(c.denominator for _, c in used))
+        numerators = {m: c * scale for m, c in T.items()}
         for col, c in used:
-            factor = c.numerator * (scale // (c.denominator * denominators[col]))
+            factor = c.numerator * (scale // c.denominator)
             for m, p in products[col].items():
                 numerators[m] = numerators.get(m, 0) - factor * p
-        residual = Polynomial._from_clean(3, {m: Fraction(n, scale) for m, n in numerators.items() if n})
+        residual = Polynomial._from_clean(3, {m: Fraction(n, scale * tau) for m, n in numerators.items() if n})
         degree = residual.degree()
         if degree < 1:
             return None
@@ -366,9 +359,14 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
                 # Its low-degree coefficients are affine in the
                 # remaining freedom and vanish at the representative,
                 # so probing each basis direction either finds a
-                # valid member or proves the family has none.
+                # valid member or proves the family has none.  The
+                # member probed shifts g, not h, by 1 at the direction's
+                # free column, which in reduced row echelon form is its
+                # last nonzero entry: h_st there is g_st * tau / (a^s b^t).
                 for direction in directions:
-                    result = build_result([c + d for c, d in zip(solution, direction)])
+                    s, t = support[max(c for c, d in enumerate(direction) if d)]
+                    unit = Fraction(tau, a**s * b**t)
+                    result = build_result([c + unit * d for c, d in zip(solution, direction)])
                     if result is not None:
                         break
             if result is not None or len(keep) == len(free):

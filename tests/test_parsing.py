@@ -113,6 +113,33 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse(f"x^{MAX_EXPONENT + 1}")
         assert parse(f"x^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+        assert parse(f"x^{MAX_EXPONENT - 1}*x") == Polynomial(3, {(MAX_EXPONENT, 0, 0): 1})
+
+    def test_single_factor_overflow_names_its_exponent(self):
+        with pytest.raises(ParseError) as info:
+            parse(f"y + x*x^{MAX_EXPONENT + 1}")
+        assert info.value.reason == f"exponent {MAX_EXPONENT + 1} exceeds the supported bound {MAX_EXPONENT}"
+        assert info.value.column == 9
+
+    @pytest.mark.parametrize("text, name, column, total", [
+        (f"x^{MAX_EXPONENT}*x", "x", 11, MAX_EXPONENT + 1),
+        ("x^600000 x^400001", "x", 12, MAX_EXPONENT + 1),
+        ("z + y^1000000*x*y^1000000", "y", 19, 2 * MAX_EXPONENT),
+    ])
+    def test_factors_add_up_to_the_bound(self, text, name, column, total):
+        # the error points at the factor that crosses the bound
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.reason == f"exponent sum {total} of {name} exceeds the supported bound {MAX_EXPONENT}"
+        assert info.value.column == column
+
+    def test_factors_add_up_on_a_word_file_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_word_file(f"vars: x, y, z\nelem 1 1 y^{MAX_EXPONENT}*z*y\n")
+        assert (info.value.line, info.value.column) == (2, 22)
+        assert info.value.reason == f"exponent sum {MAX_EXPONENT + 1} of y exceeds the supported bound {MAX_EXPONENT}"
+        (step,), _ = parse_word_file(f"vars: x, y, z\nelem 1 1 y^{MAX_EXPONENT - 1}*z*y\n")
+        assert step.shift.degree() == MAX_EXPONENT + 1
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):

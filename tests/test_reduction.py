@@ -120,6 +120,19 @@ class TestGoldenCases:
         assert result.residual == z
         assert result.residual_degree == 1
 
+    @pytest.mark.parametrize("scalar, g", [
+        (2, -Fraction(1, 8) * u**2 + v),
+        (Fraction(1, 3), -Fraction(9, 2) * u**2 + v),
+    ])
+    def test_fallback_shifts_g_by_one_on_fractional_maps(self, scalar, g):
+        # g = c*u^2 leaves the residual 0, which is not a reduction, so
+        # the member returned shifts g's coefficient on v by 1; the
+        # solver's unknown there is tau = 2 times that coefficient
+        result = find_elementary_reduction(PolyMap((-Fraction(1, 2) * y**2, scalar * y, z)), 0)
+        assert result.g == g
+        assert result.residual == -z
+        assert result.residual_degree == 1
+
     def test_identity_map(self):
         assert find_any_reduction(PolyMap.identity(3)) is None
         assert find_elementary_reduction(PolyMap.identity(3), 2) is None
@@ -524,8 +537,9 @@ class TestCapTrim:
 @st.composite
 def denominator_word_maps(draw):
     """word_maps whose step i has coefficients n/d_i with numerators up
-    to 10**6, the d_i distinct and pairwise coprime."""
-    denominators = draw(st.permutations((5, 7, 9, 11, 13)))
+    to 10**6, the d_i distinct and either pairwise coprime or sharing
+    factors."""
+    denominators = draw(st.permutations(draw(st.sampled_from([(5, 7, 9, 11, 13), (4, 6, 9)]))))
 
     def step_coefficients(step):
         d = denominators[step]
@@ -536,10 +550,11 @@ def denominator_word_maps(draw):
 
 class TestScaledRows:
     """The system is built from the cleared components F_j = A/a,
-    F_k = B/b and F_target = T/tau: column (s, t) stands for
-    A^s B^t / (a^s b^t) and the right-hand side for T/tau, and each row
-    is scaled by the lcm of its own columns' denominators.  Maps with
-    coprime denominators make every one of those factors count."""
+    F_k = B/b and F_target = T/tau and solves T = h(A, B) for
+    h(u, v) = tau * g(u/a, v/b): column (s, t) is A^s B^t and the
+    right-hand side T, and g's coefficient on (s, t) is read back as
+    h_st * a^s b^t / tau.  Maps whose steps carry distinct denominators,
+    coprime or sharing factors, make every one of those factors count."""
 
     @settings(max_examples=80, deadline=None)
     @given(denominator_word_maps(), st.integers(0, 2), st.none())

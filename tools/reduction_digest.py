@@ -13,6 +13,10 @@ budget; it is deterministic, so two versions of the library give the
 same answers exactly when their stdout is the same.  The process time
 goes to stderr.  `--src` chooses the `tamedeg` source tree to import
 (default: this repository's `src/`).  Nothing under `bench/` is written.
+
+`tools/expected/reduction_digest.txt` holds the stdout of
+`--streams 1-30 --budgets default,0,3`, and CI diffs each run against
+it; a change that alters reduction answers on purpose records it anew.
 """
 
 from __future__ import annotations
