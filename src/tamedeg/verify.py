@@ -73,9 +73,12 @@ def _constant(det: Polynomial) -> tuple[bool, str]:
 
 def verify_example(pmap: PolyMap | None = None) -> ExampleReport:
     """Recompute and check every stated fact; pass a tampered map to
-    watch the checks fail."""
+    watch the checks fail.  A map without three components raises
+    ValueError before any claim runs."""
     if pmap is None:
         pmap = build_example_map()
+    if pmap.arity != 3:
+        raise ValueError(f"verify_example needs a map with 3 components, got {pmap.arity}")
     f1, f2, f3 = pmap.components
     bracket = poisson.poisson_bracket(f1, f3)
     # g's u^5 term cancels at composed degree lcm(deg f1, deg f3), above

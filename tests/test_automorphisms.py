@@ -179,6 +179,13 @@ class TestPolyMap:
         with pytest.raises(ValueError):
             PolyMap((x, y))
 
+    def test_components_must_be_polynomials(self):
+        with pytest.raises(TypeError, match="components must be Polynomials"):
+            PolyMap((x, y, 1))
+
+    def test_repr(self):
+        assert repr(PolyMap((x + y**2, y, z))) == "PolyMap(y^2 + x, y, z)"
+
     def test_identity_jacobian(self):
         assert PolyMap.identity(3).jacobian_det() == 1
 

@@ -693,9 +693,9 @@ class TestDigest:
 
 class TestDigestTool:
     def test_cli_digest(self):
-        # the output of tools/cli_digest.py, computed before verify_example
+        # the output of tools/digest.py cli, computed before verify_example
         # became one list of claims
-        done = subprocess.run([sys.executable, "tools/cli_digest.py"], cwd=ROOT, capture_output=True, text=True,
+        done = subprocess.run([sys.executable, "tools/digest.py", "cli"], cwd=ROOT, capture_output=True, text=True,
                               timeout=300)
         assert done.returncode == 0, done.stderr
         # From 3.13 on, argparse no longer wraps "{decide,...} ..." in the

@@ -206,10 +206,10 @@ class TestExclusionOracle:
 
 class TestDigestTool:
     def test_max_20(self):
-        # the output of tools/decision_digest.py --max 20, computed
+        # the output of tools/digest.py decisions --max 20, computed
         # before decide's exclusion rules became a table
         done = subprocess.run(
-            [sys.executable, "tools/decision_digest.py", "--max", "20"],
+            [sys.executable, "tools/digest.py", "decisions", "--max", "20"],
             cwd=ROOT, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr

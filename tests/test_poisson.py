@@ -69,6 +69,14 @@ class TestBracketValue:
         b = BracketValue(3, {(0, 1): Polynomial.zero(3), (0, 2): x})
         assert b.pairs() == [(0, 2)]
 
+    def test_equality_hash_truth_and_repr(self):
+        b = poisson_bracket(x**2, y * z)
+        assert b.__eq__(x) is NotImplemented and b != x
+        assert hash(b) == hash(BracketValue(3, {(0, 2): 2 * x * y, (0, 1): 2 * x * z}))
+        assert bool(b) and not poisson_bracket(x, x)
+        assert repr(b) == "BracketValue([0,1]: 2*x*z, [0,2]: 2*x*y)"
+        assert repr(BracketValue(3)) == "BracketValue(0)"
+
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
             BracketValue(3, {(1, 1): x})

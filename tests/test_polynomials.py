@@ -91,6 +91,7 @@ class TestArithmetic:
     def test_scalar_operations(self):
         assert Fraction(1, 2) * (2 * x) == x
         assert (x + 1) - 1 == x
+        assert 1 - x == Polynomial(3, {(1, 0, 0): -1, (0, 0, 0): 1})
 
     def test_power(self):
         assert (x + y) ** 2 == x**2 + 2 * x * y + y**2

@@ -41,6 +41,16 @@ def test_failing_search_is_reported_as_an_error(example_map, monkeypatch):
     assert all(c.passed is False and c.computed == "error: no search" for c in failed)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_map_without_three_components_is_refused(n, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a claim ran")
+
+    monkeypatch.setattr(reduction, "find_elementary_reduction", no_search)
+    with pytest.raises(ValueError, match=f"needs a map with 3 components, got {n}"):
+        verify_example(PolyMap(variables(n)))
+
+
 @pytest.mark.parametrize("tamper, failed, jacobian", [
     (lambda f1, f2, f3: (f1, f2 + z, f3), ["jacobian-constant", "reduction-residual"],
      "30*x^2*y^4 + 54*x^3*y^2 + 18*x^4 + 6*y^3*z + 12*x*y*z - 2"),
