@@ -41,20 +41,16 @@ and in the soundness recheck, which composes g(F_j, F_k) with
 Polynomial arithmetic.  The products A^s B^t and the Polynomial
 products of that recheck both go through `polynomials._product`.
 
-The rows go in one degree level at a time, from the top down, and the
-most constrained consistent system fixes the residual degree.  Its
-solutions form a particular solution plus a kernel; columns that no
-kernel vector touches are the same in every solution, so the
-fewest-support tie-break enumerates supports over the kernel's own
-columns only.  Each support is probed with one solve of the level's
-system plus a unit row for every column that must vanish.
-SUBSET_BUDGET bounds that enumeration; past it only the whole family,
-the last support in the order, is probed, and its candidates are the
-particular solution and its shifts by each kernel vector.
+The rows go in one degree level at a time, from the top down, and each
+consistent level's solutions form a particular solution plus a kernel.
+One generator, `candidates()` in find_elementary_reduction, yields the
+candidate solutions of every level in the order that breaks ties, and
+the first one that passes the degree check is the answer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, repeat
@@ -64,14 +60,10 @@ from . import poisson
 from .polynomials import Monomial, Polynomial, _product
 from .automorphisms import PolyMap
 
-# Upper bound on the support probes of one search, over all levels it
-# tries.  The probes enumerate subsets of the kernel's columns, which
-# number a handful on word-generated maps; the bound only matters for
-# hostile maps such as (x, x^2, ...) whose kernels touch many columns.
-# Past it each level probes only the whole family, whose candidates are
-# the particular solution and its kernel shifts, so the result is still
-# a minimal-degree reduction but the fewest-support tie-break is not
-# guaranteed.
+# Upper bound on the support probes of one search, over all levels
+# (`candidates()` says what comes past it).  The kernel's columns number
+# a handful on word-generated maps; the bound only matters for hostile
+# maps such as (x, x^2, ...) whose kernels touch many columns.
 SUBSET_BUDGET = 200_000
 
 # Upper bound on the support monomials, the columns of the linear
@@ -197,13 +189,16 @@ def _solve_vanishing(rows: list[Row], pivots: dict[int, int], vanish: list[int],
     return _solve_reduced(rows, pivots, ncols)
 
 
-def _check_map(pmap: PolyMap) -> None:
-    """Raise ValueError unless pmap has three pairwise distinct components."""
+def _check_map(pmap: PolyMap, support_degree_cap: int | None) -> None:
+    """Raise ValueError unless pmap has three pairwise distinct components
+    and the cap is None or an int, not a bool."""
     if pmap.arity != 3:
         raise ValueError(f"reduction search expects three components, got {pmap.arity}")
     f, g, h = pmap.components
     if f == g or f == h or g == h:
         raise ValueError("map components must be pairwise distinct")
+    if support_degree_cap is not None and type(support_degree_cap) is not int:
+        raise ValueError(f"support cap must be an int, got {support_degree_cap!r}")
 
 
 def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: int | None = None) -> ReductionResult | None:
@@ -213,11 +208,10 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     the degree, one minimizing the residual degree is returned, with
     ties broken by fewest support monomials and then by the first
     solvable support subset in a fixed monomial enumeration (ascending
-    graded order, v-heavy first).  Only supports over the kernel's
-    columns are enumerated, since every other column is fixed.
-    SUBSET_BUDGET bounds that enumeration for hostile inputs; past it
-    the result is still a minimal-degree reduction, but the
-    fewest-support tie-break is not guaranteed.
+    graded order, v-heavy first); `candidates()` yields them in that
+    order.  Past SUBSET_BUDGET probes the result is still a
+    minimal-degree reduction, but the fewest-support tie-break is not
+    guaranteed.
 
     The cap defaults to 2 * deg F_target and may not lie below
     deg F_target.  When the leading forms of the two other components
@@ -232,9 +226,9 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     target lies in the algebra generated by the other two components
     and is reported as None.
     """
-    _check_map(pmap)
-    if not 0 <= target < 3:
-        raise ValueError(f"target index {target} out of range")
+    _check_map(pmap, support_degree_cap)
+    if type(target) is not int or not 0 <= target < 3:
+        raise ValueError(f"target index must be 0, 1 or 2, got {target!r}")
     components = pmap.components
     f_target = components[target]
     j, k = (i for i in range(3) if i != target)
@@ -284,16 +278,15 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     powers_k = list(accumulate(repeat(B, max(t for _, t in support)), _product, initial=one))
     products = [_product(powers_j[s], powers_k[t]) for s, t in support]
 
-    # One equation per monomial, read off each column's terms once, and
-    # grouped by total degree so levels can be constrained from the top
-    # down.
+    # One equation per monomial of degree >= 2, read off each column's
+    # terms once, and grouped by total degree so levels can be
+    # constrained from the top down to level 2.
     by_degree: dict[int, dict[Monomial, dict[int, int]]] = {}
     for col, terms in enumerate(products + [T]):
         for m, c in terms.items():
             d = sum(m)
-            if d >= 1:
+            if d >= 2:
                 by_degree.setdefault(d, {}).setdefault(m, {})[col] = c
-    top_degree = max(by_degree)
 
     # Constrain one level at a time from the top down and stop at the
     # first inconsistent one.  The system through level L <= deg_target
@@ -303,7 +296,7 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     rows: list[Row] = []
     pivots: dict[int, int] = {}
     kept: list[int] = []
-    for level in range(top_degree, 1, -1):
+    for level in range(max(by_degree), 1, -1):
         equations = by_degree.get(level, {})
         if not all(_echelon_add(rows, pivots, equations[m], ncols) for m in sorted(equations)):
             break
@@ -311,7 +304,6 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
             kept.append(len(rows))
 
     def build_result(solution: list[Fraction]) -> ReductionResult | None:
-        g = Polynomial(2, {(s, t): c * a**s * b**t / tau for (s, t), c in zip(support, solution) if c})
         # residual = (scale*T - sum of scale*h_st * A^s B^t) / (scale*tau),
         # with scale the lcm of h's denominators
         used = [(col, c) for col, c in enumerate(solution) if c]
@@ -325,63 +317,61 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         degree = residual.degree()
         if degree < 1:
             return None
+        g = Polynomial(2, {(s, t): c * a**s * b**t / tau for (s, t), c in zip(support, solution) if c})
         # Soundness recheck by independent composition.
         recomposed = f_target - g.compose([components[j], components[k]])
         if recomposed != residual or degree >= deg_target:
             raise AssertionError("reduction failed its own verification")
         return ReductionResult(g=g, residual=residual, residual_degree=degree)
 
-    budget = SUBSET_BUDGET
+    def candidates() -> Iterator[list[Fraction]]:
+        """Candidate solutions h in the order that picks the answer.
 
-    def search_system(rows: list[Row], pivots: dict[int, int]) -> ReductionResult | None:
-        nonlocal budget
-        # Back-substituting in place leaves the rows an echelon system
-        # of the same level, so the probes below start from it.
-        _, kernel = _solve_reduced(rows, pivots, ncols)
-        # Columns that no kernel vector touches keep their particular
-        # value in every solution.  A support that drops a nonzero one
-        # is never solvable, and one that adds a zero one solves like
-        # the smaller support, so (size, lex) order over the kernel's
-        # columns visits the supports in the documented order.  The
-        # whole family comes last; past the budget it is the only probe.
-        free = [c for c in range(ncols) if any(vec[c] for vec in kernel)]
-        for keep in chain.from_iterable(combinations(free, size) for size in range(len(free) + 1)):
-            if budget <= 0:
-                keep = tuple(free)
-            budget -= 1
-            probe = _solve_vanishing(rows, pivots, [c for c in free if c not in keep], ncols)
-            if probe is None:
-                continue
-            solution, directions = probe
-            result = build_result(solution)
-            if result is None:
-                # Only a residual of degree < 1 rejects a candidate.
-                # Its low-degree coefficients are affine in the
-                # remaining freedom and vanish at the representative,
-                # so probing each basis direction either finds a
-                # valid member or proves the family has none.  The
-                # member probed shifts g, not h, by 1 at the direction's
-                # free column, which in reduced row echelon form is its
-                # last nonzero entry: h_st there is g_st * tau / (a^s b^t).
+        Levels come from the most constrained up: a valid residual of
+        degree d solves the system through level d + 1, so the first
+        level holding a valid candidate realizes the minimal residual
+        degree.  Within a level, columns that no kernel vector touches
+        keep their particular value in every solution; a support that
+        drops a nonzero one is never solvable, and one that adds a zero
+        one solves like the smaller support.  So the supports are the
+        subsets of the kernel's columns in (size, lex) order, each probed
+        by one _solve_vanishing, and the whole family, last, ends the
+        level.  Past SUBSET_BUDGET probes, counted once over all levels,
+        each level probes only its whole family.
+
+        A solvable support yields its representative, then the member
+        shifted along each kernel direction.  Only a residual of degree
+        < 1 rejects a candidate; its low-degree coefficients are affine
+        in the support's freedom and vanish at the representative, so
+        the shifts hold a valid member whenever the support has one.  A
+        shift moves g, not h, by 1 at the direction's free column, its
+        last nonzero entry in reduced row echelon form, where h_st is
+        g_st * tau / (a^s b^t).
+        """
+        probes = 0
+        for end in reversed(kept):
+            level_rows, level_pivots = rows[:end], {c: i for c, i in pivots.items() if i < end}
+            # Back-substituting in place leaves level_rows an echelon
+            # system of the same level, so the probes start from it.
+            _, kernel = _solve_reduced(level_rows, level_pivots, ncols)
+            free = [c for c in range(ncols) if any(vec[c] for vec in kernel)]
+            for keep in chain.from_iterable(combinations(free, size) for size in range(len(free) + 1)):
+                if probes >= SUBSET_BUDGET:
+                    keep = free
+                probes += 1
+                probe = _solve_vanishing(level_rows, level_pivots, [c for c in free if c not in keep], ncols)
+                if probe is None:
+                    continue
+                solution, directions = probe
+                yield solution
                 for direction in directions:
                     s, t = support[max(c for c, d in enumerate(direction) if d)]
                     unit = Fraction(tau, a**s * b**t)
-                    result = build_result([c + unit * d for c, d in zip(solution, direction)])
-                    if result is not None:
-                        break
-            if result is not None or len(keep) == len(free):
-                return result
+                    yield [c + unit * d for c, d in zip(solution, direction)]
+                if len(keep) == len(free):
+                    break
 
-    # Search the most constrained system first.  When all its solutions
-    # collapse to residuals of degree < 1, back off one level at a time:
-    # a valid residual of degree d solves the (d+1)-level system, so the
-    # first level whose family contains a valid member realizes the
-    # minimal valid residual degree.
-    for end in reversed(kept):
-        result = search_system(rows[:end], {c: i for c, i in pivots.items() if i < end})
-        if result is not None:
-            return result
-    return None
+    return next(filter(None, map(build_result, candidates())), None)
 
 
 def find_any_reduction(pmap: PolyMap, support_degree_cap: int | None = None) -> tuple[int, ReductionResult] | None:
@@ -393,7 +383,7 @@ def find_any_reduction(pmap: PolyMap, support_degree_cap: int | None = None) -> 
     ValueError exactly as find_elementary_reduction does, the map-wide
     ones before any target is searched.
     """
-    _check_map(pmap)
+    _check_map(pmap, support_degree_cap)
     for target in (2, 1, 0):
         if support_degree_cap is not None and pmap.components[target].degree() > support_degree_cap:
             continue

@@ -259,6 +259,19 @@ class TestSelection:
         assert format_polynomial(result.residual, names) == "393/64*y - z"
         assert result.residual_degree == 1
 
+    def test_budget_is_shared_across_levels(self, monkeypatch):
+        # the most constrained level has the single solution g = v,
+        # which leaves the constant 3, so the search backs off a level;
+        # there g = u^2 is the fourth probe
+        pmap = PolyMap((x**2 + y, x**4 + 2 * x**2 * y, x**4 + 2 * x**2 * y + 3))
+        result = find_elementary_reduction(pmap, 2)
+        assert (result.g, result.residual) == (u**2, 3 - y**2)
+        # the first level's probe counts against the same four, so the
+        # second level gets three and then only its whole family
+        monkeypatch.setattr(reduction, "SUBSET_BUDGET", 4)
+        result = find_elementary_reduction(pmap, 2)
+        assert (result.g, result.residual) == (u + v, 3 - x**2 - y)
+
     def test_targets_tried_from_last_to_first(self):
         found = find_any_reduction(PolyMap((x, y + x**2, z + x**2)))
         assert found is not None
@@ -318,6 +331,22 @@ class TestValidation:
             find_elementary_reduction(m, 0, cap)
         with pytest.raises(ValueError, match=message):
             find_any_reduction(m, cap)
+
+    @pytest.mark.parametrize("target, cap, message", [
+        (True, None, "target index must be 0, 1 or 2, got True"),
+        (1.0, None, r"target index must be 0, 1 or 2, got 1\.0"),
+        (2, True, "support cap must be an int, got True"),
+        (2, 8.0, r"support cap must be an int, got 8\.0"),
+    ])
+    def test_target_and_cap_must_be_ints(self, target, cap, message):
+        m = PolyMap((x, y + x**2, z + x**3))
+        with pytest.raises(ValueError, match=message):
+            find_elementary_reduction(m, target, cap)
+
+    @pytest.mark.parametrize("cap", [True, False, 8.0])
+    def test_any_reduction_cap_must_be_an_int(self, cap):
+        with pytest.raises(ValueError, match=f"support cap must be an int, got {cap}"):
+            find_any_reduction(PolyMap((x, y + x**2, z + x**3)), cap)
 
     def test_any_reduction_skips_targets_above_the_cap(self):
         m = PolyMap((x, y + x**2, z + x**3))
@@ -626,7 +655,12 @@ class TestScaledRows:
 class TestDigest:
     def test_reduction_digest_of_two_streams(self):
         # the answers of tools/digest.py reductions on the benchmark's
-        # first two map streams, every target at the default cap
+        # first two map streams, every target at the default cap; they
+        # take each branch of the candidate stream: stream 1 map007.txt
+        # backs off a level at target indices 0 and 1, and stream 1
+        # map139.txt (index 0) and stream 2 map119.txt (index 2) move
+        # past a support whose members are all rejected, then win with
+        # a kernel shift
         done = subprocess.run(
             [sys.executable, "tools/digest.py", "reductions", "--streams", "1-2"],
             cwd=ROOT, capture_output=True, text=True, timeout=300,
