@@ -11,6 +11,7 @@ step_k o ... o step_1.  `parsing` reads and writes words as word files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -18,7 +19,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .poisson import poisson_bracket
-from .polynomials import Polynomial, _coerce, variables
+from .polynomials import Monomial, Polynomial, _coerce, _derivative, _product, variables
 
 
 @dataclass(frozen=True)
@@ -134,25 +135,35 @@ class PolyMap:
         of terms of f_p and f_q, and its coefficients multiply the other
         rows, so p and q are the two components with the fewest terms:
         for the example map f1 and f3, whose bracket has degree 8.
+        The sum runs over ints: each bracket coefficient is cleared and
+        brought to one common denominator, each other row f_r = F_r/d_r
+        is cleared once, and the integer cofactors times the gradients
+        of the F_r go through `_product`; the sum is divided once.
         Arity 1 has no bracket; there det J is df/dx.
         """
         n = self.arity
         if n == 1:
             return self.components[0].derivative(0)
         p, q = sorted(range(n), key=lambda k: len(self.components[k]))[:2]
-        bracket = poisson_bracket(self.components[p], self.components[q])
+        minors = {pair: coefficient.cleared()
+                  for pair, coefficient in poisson_bracket(self.components[p], self.components[q]).items()}
+        common = math.lcm(*(d for _, d in minors.values()))
+        minors = {pair: {m: c * (common // d) for m, c in terms.items()} for pair, (terms, d) in minors.items()}
         rest = [r for r in range(n) if r not in (p, q)]
-        gradients = {r: [self.components[r].derivative(c) for c in range(n)] for r in rest}
-        total = Polynomial.zero(n)
+        cleared = {r: self.components[r].cleared() for r in rest}
+        gradients = {r: [_derivative(cleared[r][0], c) for c in range(n)] for r in rest}
+        total: dict[Monomial, int] = {}
         for perm in permutations(range(n)):
             if perm[p] > perm[q]:
                 continue
-            term = bracket.coefficient(perm[p], perm[q])
+            term = minors.get((perm[p], perm[q]), {})
             for r in rest:
-                term = term * gradients[r][perm[r]]
-            inversions = sum(a > b for a, b in combinations(perm, 2))
-            total = total - term if inversions % 2 else total + term
-        return total
+                term = _product(term, gradients[r][perm[r]])
+            sign = -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+            for m, v in term.items():
+                total[m] = total.get(m, 0) + sign * v
+        denominator = common * math.prod(d for _, d in cleared.values())
+        return Polynomial._from_clean(n, {m: Fraction(v, denominator) for m, v in total.items() if v})
 
     def __repr__(self) -> str:
         return f"PolyMap({', '.join(str(c) for c in self.components)})"

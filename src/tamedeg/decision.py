@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -201,6 +200,10 @@ def scan(max_degree: int) -> list[Decision]:
     workers = min(_cores(), len(triples))
     if workers == 1:
         return [decide(t) for t in triples]
+    # Imported only here, so that a process that never forks a pool
+    # does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(triples) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(decide, triples, chunksize=chunk))

@@ -11,20 +11,23 @@ empty term mapping and degree NEG_INFINITY, so that
 hold with no special cases (NEG_INFINITY absorbs addition and orders
 below every integer).
 
-Products of Polynomials over Fractions, the term products of
-`compose`, and the integer products of powers and of the systems that
-`reduction` builds after clearing denominators all multiply through one
-function, `_product`.  One-term operands take an O(terms) path: a
+Every product of term mappings runs through one loop, `_packed_product`,
+over packed exponent keys (Monagan and Pearce): `_layout` gives each
+variable a bit field wide enough that adding two keys adds the
+monomials, and a top field that holds the total degree.  `_product`
+multiplies tuple-keyed mappings: Polynomials over Fractions, the term
+products of `compose`, many-term powers and the integer products of
+`PolyMap.jacobian_det`.  One-term operands take an O(terms) path: a
 product with a one-term factor shifts the other factor's exponents and
 scales its coefficients, and a one-term power scales the exponent tuple
 and powers the coefficient, so x^s * y^t or z^d costs no repeated
 squaring.  A many-term power clears its denominators once, squares the
-integer numerators through `_product` and divides by d^k once at the end.
-Two many-term operands multiply under packed exponent keys (Monagan and
-Pearce): each exponent tuple becomes one int with a bit field per
-variable, wide enough that adding two keys adds the monomials, and keys
-are unpacked once per output term.  `poisson.poisson_bracket` shares
-the packing.
+integer numerators through `_product` and divides by d^k once at the
+end.  Otherwise `_product` packs each input term once, multiplies
+through `_packed_product` and unpacks each output term once.
+`reduction` packs its system once per search and calls
+`_packed_product` itself, and `poisson.poisson_bracket` packs under the
+same layout.
 
 Sums of many terms (the constructor, `_product`, `compose`) add into one
 dict and drop the zero sums in one pass at the end.  The total degree
@@ -38,7 +41,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import pairwise
-from operator import add, lshift
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 NEG_INFINITY = float("-inf")
@@ -57,26 +60,55 @@ def _coerce(value: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
 
+def _layout(tops: Iterable[int]) -> tuple[Callable[[Monomial], int], Callable[[int], Monomial], int]:
+    """(pack, unpack, width) between monomials with exponent i at most
+    tops[i] and ints.
+
+    Variable i gets a bit field just wide enough to hold tops[i], and the
+    bits from `width` up hold the total degree, so key >> width is the
+    monomial's degree.  While the exponents stay within the tops, a sum
+    of keys is the packed key of the product monomial: no field carries
+    into the next, and the top field adds the degrees.  With no tops
+    there are no fields and every key packs to 0.
+    """
+    fields: list[tuple[int, int]] = []
+    width = 0
+    for top in tops:
+        fields.append((width, (1 << top.bit_length()) - 1))
+        width += top.bit_length()
+    # e << shift plus e << width in one weight, so one map packs both.
+    # map over the weights packs, a comprehension over (shift, mask) pairs
+    # unpacks: each about twice as fast as the other form.
+    weights = [(1 << shift) + (1 << width) for shift, _ in fields]
+    return (lambda m: sum(map(mul, m, weights)),
+            lambda k: tuple([(k >> s) & mask for s, mask in fields]),
+            width)
+
+
 def _packing(p: Mapping[Monomial, Scalar],
              q: Mapping[Monomial, Scalar]) -> tuple[Callable[[Monomial], int], Callable[[int], Monomial]]:
-    """(pack, unpack) between the monomials of p*q and ints.
+    """(pack, unpack) of a `_layout` for the monomials of p*q: the top
+    of variable i is max_p[i] + max_q[i]."""
+    pack, unpack, _ = _layout(map(add, map(max, zip(*p)), map(max, zip(*q))))
+    return pack, unpack
 
-    Variable i gets a bit field just wide enough to hold max_p[i] +
-    max_q[i], so a sum of packed keys from p and q is the packed key of
-    the product monomial: no field carries into the next.  With an empty
-    operand there are no fields and every key packs to 0.
+
+def _packed_product(p: Mapping[int, Scalar], q: Mapping[int, Scalar]) -> dict[int, Scalar]:
+    """p*q for term mappings under packed keys of one `_layout` whose
+    tops hold the product's exponents.
+
+    The term pairs accumulate in one dict, p's terms outer and q's
+    inner.  Zero sums stay in it, for the caller to drop in the pass
+    it makes over the terms anyway.
     """
-    shifts: list[int] = []
-    fields: list[tuple[int, int]] = []
-    shift = 0
-    for top in map(add, map(max, zip(*p)), map(max, zip(*q))):
-        shifts.append(shift)
-        fields.append((shift, (1 << top.bit_length()) - 1))
-        shift += top.bit_length()
-    # map over the shifts packs, a comprehension over (shift, mask) pairs
-    # unpacks: each about twice as fast as the other form.
-    return (lambda m: sum(map(lshift, m, shifts)),
-            lambda k: tuple([(k >> s) & mask for s, mask in fields]))
+    out: dict[int, Scalar] = {}
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            k = ka + kb
+            c = ca * cb
+            # A first occurrence is stored as is: 0 + c would build a new Fraction.
+            out[k] = c if (old := out.get(k)) is None else old + c
+    return out
 
 
 def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
@@ -85,9 +117,9 @@ def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict
     A one-term factor shifts the other factor's exponents and scales its
     coefficients: shifting by one monomial is injective and a product of
     nonzero coefficients is nonzero, so nothing merges and nothing is
-    checked for zero.  Otherwise the term pairs accumulate in one dict
-    under packed keys (`_packing`), in the order of the tuple keys, and
-    the zero sums are dropped in one pass at the end.
+    checked for zero.  Otherwise each term is packed once (`_packing`),
+    `_packed_product` multiplies, and each output term is unpacked once,
+    in the order of the tuple keys' term pairs.
     """
     if len(p) == 1 or len(q) == 1:
         single, many = (q, p) if len(q) == 1 else (p, q)
@@ -96,16 +128,27 @@ def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict
             return {tuple(map(add, ma, mb)): ca * cb for ma, ca in many.items()}
         return {ma: ca * cb for ma, ca in many.items()}
     pack, unpack = _packing(p, q)
-    packed_q = [(pack(mb), cb) for mb, cb in q.items()]
-    out: dict[int, Scalar] = {}
-    for ma, ca in p.items():
-        ka = pack(ma)
-        for kb, cb in packed_q:
-            k = ka + kb
-            c = ca * cb
-            # A first occurrence is stored as is: 0 + c would build a new Fraction.
-            out[k] = c if (old := out.get(k)) is None else old + c
+    out = _packed_product({pack(m): c for m, c in p.items()}, {pack(m): c for m, c in q.items()})
     return {unpack(k): c for k, c in out.items() if c}
+
+
+def _derivative(terms: Mapping[Monomial, Scalar], var: int) -> dict[Monomial, Scalar]:
+    """d/dx_var of a term mapping with nonzero int or Fraction coefficients."""
+    # Lowering one exponent is injective on the terms that have it,
+    # so each coefficient c * e stays separate and nonzero.
+    return {m[:var] + (m[var] - 1,) + m[var + 1:]: c * m[var] for m, c in terms.items() if m[var]}
+
+
+def _power(base: dict, exponent: int, one: dict, product: Callable[[dict, dict], dict]) -> dict:
+    """base ** exponent by repeated squaring through `product`, from the
+    term mapping `one` of the constant 1."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = product(result, base)
+        base = product(base, base) if exponent > 1 else base
+        exponent >>= 1
+    return result
 
 
 def canonical_key(monomial: Monomial) -> tuple:
@@ -304,13 +347,7 @@ class Polynomial:
             ((m, c),) = self._terms.items()
             return Polynomial._from_clean(self._arity, {tuple(e * exponent for e in m): c ** exponent})
         base, d = self.cleared()
-        result: dict[Monomial, int] = {(0,) * self._arity: 1}
-        e = exponent
-        while e:
-            if e & 1:
-                result = _product(result, base)
-            base = _product(base, base) if e > 1 else base
-            e >>= 1
+        result = _power(base, exponent, {(0,) * self._arity: 1}, _product)
         d **= exponent
         return Polynomial._from_clean(self._arity, {m: Fraction(n, d) for m, n in result.items()})
 
@@ -320,10 +357,7 @@ class Polynomial:
         """Formal partial derivative with respect to variable `var` (0-based)."""
         if not 0 <= var < self._arity:
             raise ValueError(f"variable index {var} out of range for arity {self._arity}")
-        # Lowering one exponent is injective on the terms that have it,
-        # so each coefficient c * e stays separate and nonzero.
-        terms = {m[:var] + (m[var] - 1,) + m[var + 1:]: c * m[var] for m, c in self._terms.items() if m[var]}
-        return Polynomial._from_clean(self._arity, terms)
+        return Polynomial._from_clean(self._arity, _derivative(self._terms, var))
 
     def compose(self, args: Sequence[Polynomial]) -> Polynomial:
         """Substitute args[i] for variable i.  All args must share one arity."""

@@ -36,10 +36,18 @@ h(u, v) = tau * g(u/a, v/b), so that
 Column (s, t) is the integer polynomial A^s B^t and the right-hand
 side is T, with no denominators, and elimination is fraction-free.
 Fractions appear only when a solution is read back, g's coefficient on
-(s, t) as h_st * a^s b^t / tau and the residual as T - h(A, B) over tau,
-and in the soundness recheck, which composes g(F_j, F_k) with
-Polynomial arithmetic.  The products A^s B^t and the Polynomial
-products of that recheck both go through `polynomials._product`.
+(s, t) as h_st * a^s b^t / tau and the residual as T - h(A, B) over tau.
+A, B and T are packed once per search (`polynomials._layout`): a bit
+field per variable, wide enough for every column and for T, and a top
+field holding the total degree, which is an equation's level.  Every
+power, product, equation key and residual numerator stays packed, the
+products go through `polynomials._packed_product`, and only the
+residual's terms are unpacked.
+
+The soundness recheck, `_verify`, checks every answer's identity
+F_target - g(F_j, F_k) = residual scaled to integers.  It packs under a
+layout of its own and raises fresh powers of A and B by repeated
+squaring, so it reads nothing of the solve: no power, product, row or h.
 
 The rows go in one degree level at a time, from the top down, and each
 consistent level's solutions form a particular solution plus a kernel.
@@ -57,7 +65,7 @@ from itertools import accumulate, chain, combinations, repeat
 from math import gcd, lcm
 
 from . import poisson
-from .polynomials import Monomial, Polynomial, _product
+from .polynomials import Monomial, Polynomial, _layout, _packed_product, _power
 from .automorphisms import PolyMap
 
 # Upper bound on the support probes of one search, over all levels
@@ -189,6 +197,47 @@ def _solve_vanishing(rows: list[Row], pivots: dict[int, int], vanish: list[int],
     return _solve_reduced(rows, pivots, ncols)
 
 
+def _verify(g: Polynomial, residual: Polynomial, *cleared: tuple[dict[Monomial, int], int]) -> None:
+    """Raise AssertionError unless F_target - g(F_j, F_k) == residual and
+    the residual's degree lies below F_target's.
+
+    `cleared` is (A, a), (B, b), (T, tau) with F_j = A/a, F_k = B/b and
+    F_target = T/tau.  With g = G/L and residual = R/rho cleared as well,
+    and S and U the largest exponents of u and v in g, the identity times
+    tau*rho*L*a^S*b^U reads
+
+        tau*rho * sum of G_st a^(S-s) b^(U-t) A^s B^t == L a^S b^U (rho T - tau R),
+
+    which is checked over ints, under a layout wide enough for any g and
+    residual, with A^s and B^t raised afresh by repeated squaring.
+    """
+    (A, a), (B, b), (T, tau) = cleared
+    G, L = g.cleared()
+    R, rho = residual.cleared()
+    S = max((s for s, _ in G), default=0)
+    U = max((t for _, t in G), default=0)
+
+    def top(terms: dict[Monomial, int], i: int) -> int:
+        return max((m[i] for m in terms), default=0)
+
+    pack, _, _ = _layout(max(S * top(A, i) + U * top(B, i), top(T, i), top(R, i)) for i in range(3))
+    packed_a, packed_b = ({pack(m): c for m, c in X.items()} for X in (A, B))
+    powers_a = {s: _power(packed_a, s, {0: 1}, _packed_product) for s in {s for s, _ in G}}
+    powers_b = {t: _power(packed_b, t, {0: 1}, _packed_product) for t in {t for _, t in G}}
+    # sum of tau*rho * G_st a^(S-s) b^(U-t) A^s B^t minus L a^S b^U (rho T - tau R)
+    scale = L * a**S * b**U
+    difference = {pack(m): -scale * rho * c for m, c in T.items()}
+    for m, c in R.items():
+        key = pack(m)
+        difference[key] = difference.get(key, 0) + scale * tau * c
+    for (s, t), n in G.items():
+        weight = tau * rho * n * a ** (S - s) * b ** (U - t)
+        for key, c in _packed_product(powers_a[s], powers_b[t]).items():
+            difference[key] = difference.get(key, 0) + weight * c
+    if any(difference.values()) or residual.degree() >= max(map(sum, T)):
+        raise AssertionError("reduction failed its own verification")
+
+
 def _check_map(pmap: PolyMap, support_degree_cap: int | None) -> None:
     """Raise ValueError unless pmap has three pairwise distinct components
     and the cap is None or an int, not a bool."""
@@ -270,23 +319,28 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     # The components cleared once, F_j = A/a, F_k = B/b, F_target = T/tau.
     # The unknowns are h's coefficients, h(u, v) = tau * g(u/a, v/b), so
     # column (s, t) is A^s B^t and column ncols, the right-hand side, T.
+    # They are packed once, under fields wide enough for every column and
+    # for T, and stay packed up to the residual.
     A, a = components[j].cleared()
     B, b = components[k].cleared()
     T, tau = f_target.cleared()
-    one = {(0, 0, 0): 1}
-    powers_j = list(accumulate(repeat(A, max(s for s, _ in support)), _product, initial=one))
-    powers_k = list(accumulate(repeat(B, max(t for _, t in support)), _product, initial=one))
-    products = [_product(powers_j[s], powers_k[t]) for s, t in support]
+    tops = [max(max(s * ea + t * eb for s, t in support), et)
+            for ea, eb, et in zip(map(max, zip(*A)), map(max, zip(*B)), map(max, zip(*T)))]
+    pack, unpack, width = _layout(tops)
+    packed_a, packed_b, packed_t = ({pack(m): c for m, c in X.items()} for X in (A, B, T))
+    powers_j = list(accumulate(repeat(packed_a, max(s for s, _ in support)), _packed_product, initial={0: 1}))
+    powers_k = list(accumulate(repeat(packed_b, max(t for _, t in support)), _packed_product, initial={0: 1}))
+    products = [_packed_product(powers_j[s], powers_k[t]) for s, t in support]
 
     # One equation per monomial of degree >= 2, read off each column's
-    # terms once, and grouped by total degree so levels can be
-    # constrained from the top down to level 2.
-    by_degree: dict[int, dict[Monomial, dict[int, int]]] = {}
-    for col, terms in enumerate(products + [T]):
-        for m, c in terms.items():
-            d = sum(m)
-            if d >= 2:
-                by_degree.setdefault(d, {}).setdefault(m, {})[col] = c
+    # nonzero terms once, and grouped by total degree, the key's top
+    # field, so levels can be constrained from the top down to level 2.
+    by_degree: dict[int, dict[int, dict[int, int]]] = {}
+    for col, terms in enumerate(products + [packed_t]):
+        for key, c in terms.items():
+            d = key >> width
+            if d >= 2 and c:
+                by_degree.setdefault(d, {}).setdefault(key, {})[col] = c
 
     # Constrain one level at a time from the top down and stop at the
     # first inconsistent one.  The system through level L <= deg_target
@@ -308,20 +362,18 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         # with scale the lcm of h's denominators
         used = [(col, c) for col, c in enumerate(solution) if c]
         scale = lcm(*(c.denominator for _, c in used))
-        numerators = {m: c * scale for m, c in T.items()}
+        numerators = {key: c * scale for key, c in packed_t.items()}
         for col, c in used:
             factor = c.numerator * (scale // c.denominator)
-            for m, p in products[col].items():
-                numerators[m] = numerators.get(m, 0) - factor * p
-        residual = Polynomial._from_clean(3, {m: Fraction(n, scale * tau) for m, n in numerators.items() if n})
+            for key, p in products[col].items():
+                numerators[key] = numerators.get(key, 0) - factor * p
+        residual = Polynomial._from_clean(3, {unpack(key): Fraction(n, scale * tau)
+                                             for key, n in numerators.items() if n})
         degree = residual.degree()
         if degree < 1:
             return None
         g = Polynomial(2, {(s, t): c * a**s * b**t / tau for (s, t), c in zip(support, solution) if c})
-        # Soundness recheck by independent composition.
-        recomposed = f_target - g.compose([components[j], components[k]])
-        if recomposed != residual or degree >= deg_target:
-            raise AssertionError("reduction failed its own verification")
+        _verify(g, residual, (A, a), (B, b), (T, tau))
         return ReductionResult(g=g, residual=residual, residual_degree=degree)
 
     def candidates() -> Iterator[list[Fraction]]:

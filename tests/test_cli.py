@@ -417,10 +417,12 @@ class TestReduce:
         assert "error" in err
 
     def test_failed_self_check_is_a_domain_error(self, capsys, tmp_path, monkeypatch):
-        # a recomposition that disagrees with the residual makes the
+        # a g off by one term fails the integer recheck, which makes the
         # reduction fail its own verification
-        from tamedeg import Polynomial
-        monkeypatch.setattr(Polynomial, "compose", lambda self, args: Polynomial.zero(3))
+        from tamedeg import Polynomial, reduction
+        verify = reduction._verify
+        monkeypatch.setattr(reduction, "_verify",
+                            lambda g, *rest: verify(g + Polynomial.monomial((1, 1)), *rest))
         path = tmp_path / "map.txt"
         path.write_text("vars: x, y, z\nx\ny + x^2\nz\n", encoding="utf-8")
         code, out, err = run(capsys, "reduce", str(path))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -339,7 +341,8 @@ class TestScan:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(decision, "ProcessPoolExecutor", SerialPool)
+        # scan imports the pool when it forks, so the fake goes where it looks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(decision, "_cores", lambda: 64)
         pooled = scan(3)
         assert len(pooled) == 10
@@ -347,6 +350,16 @@ class TestScan:
         monkeypatch.setattr(decision, "_cores", lambda: 1)
         assert scan(3) == pooled
         assert requested == [10]
+
+    def test_only_a_forking_scan_loads_the_pool(self):
+        # decide, reduce, bracket and verify-example never fork, so they
+        # do not pay for importing multiprocessing
+        code = ("import sys, tamedeg.cli; from tamedeg import decide, scan; decide((3, 5, 7)); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_max_degree_validation(self):
         with pytest.raises(ValueError):

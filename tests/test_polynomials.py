@@ -17,7 +17,7 @@ from tamedeg import (
     parse_polynomial,
     variables,
 )
-from tamedeg.polynomials import _product
+from tamedeg.polynomials import _layout, _packed_product, _product
 
 x, y, z = variables(3)
 
@@ -513,6 +513,49 @@ class TestIntegerProduct:
     def test_power_of_zero(self):
         assert Polynomial.zero(3) ** 0 == 1
         assert (Polynomial.zero(3) ** 3).is_zero
+
+
+# 0, 1 and the edges 2^k - 1 and 2^k of a k-bit field
+packed_exponents = st.one_of(st.sampled_from([0, 1]),
+                             st.integers(1, 20).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k])))
+
+
+@st.composite
+def int_term_mapping_pairs(draw):
+    """Two int term mappings of arity 3, each empty, one-term or up to
+    six terms; in some draws one variable appears in neither."""
+    unused = draw(st.sampled_from([None, 0, 1, 2]))
+    monomials = st.tuples(*[st.just(0) if i == unused else packed_exponents for i in range(3)])
+    coeffs = st.integers(-5, 5).filter(bool)
+    sizes = st.sampled_from([(0, 0), (1, 1), (2, 6)])
+    return tuple(draw(st.dictionaries(monomials, coeffs, min_size=low, max_size=high))
+                 for low, high in (draw(sizes), draw(sizes)))
+
+
+class TestPackedLayout:
+    """The layout and the kernel the reduction search packs its system
+    with: `_layout` fields wide enough for the product's exponents, and
+    `_packed_product` on the packed keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_term_mapping_pairs())
+    @example(({}, {}))
+    @example(({(1, 0, 0): 2}, {}))
+    @example(({(2**20, 0, 1): 1, (0, 1, 0): -1}, {(2**20 - 1, 0, 0): 3}))
+    def test_round_trip_degree_and_kernel(self, pair):
+        p, q = pair
+        tops = [max((m[i] for m in p), default=0) + max((m[i] for m in q), default=0) for i in range(3)]
+        pack, unpack, width = _layout(tops)
+        packed_p, packed_q = ({pack(m): c for m, c in terms.items()} for terms in (p, q))
+        for (a, b), (ka, kb) in ((p, q), (packed_p, packed_q)), ((q, p), (packed_q, packed_p)):
+            product = _packed_product(ka, kb)
+            assert list({unpack(k): c for k, c in product.items() if c}.items()) == list(_product(a, b).items())
+            for key in product:
+                assert key >> width == sum(unpack(key))
+        for terms in (p, q, tuple_product(p, q)):
+            for m in terms:
+                assert unpack(pack(m)) == m
+                assert pack(m) >> width == sum(m)
 
 
 def test_str_uses_canonical_form():

@@ -652,6 +652,49 @@ class TestScaledRows:
             assert no_valid_drop_below(pmap, target, cap, result.residual_degree)
 
 
+class TestRecheck:
+    """`reduction._verify`, the soundness recheck of every answer, checks
+    F_target - g(F_j, F_k) == residual over ints, and the residual's
+    degree below F_target's, under a layout of its own: a g or a
+    residual off by one term fails it, also by a term far outside the
+    search's fields."""
+
+    fractional = PolyMap((Fraction(1, 2) * x + z, Fraction(2, 3) * y,
+                          Fraction(5, 4) * (Fraction(1, 2) * x + z) ** 2
+                          + Fraction(3, 7) * y * (Fraction(1, 2) * x + z) + z))
+
+    @staticmethod
+    def answer(pmap, target, cap=None):
+        result = find_elementary_reduction(pmap, target, cap)
+        j, k = (i for i in range(3) if i != target)
+        return result, [pmap.components[i].cleared() for i in (j, k, target)]
+
+    @pytest.mark.parametrize("case", ["square shift", "fractional", "example"])
+    def test_off_by_one_term_fails(self, case, example_map):
+        pmap, target, cap = {"square shift": (PolyMap((x, y + x**2, z)), 1, None),
+                             "fractional": (self.fractional, 2, None),
+                             "example": (example_map, 1, 50)}[case]
+        result, cleared = self.answer(pmap, target, cap)
+        g, residual = result.g, result.residual
+        reduction._verify(g, residual, *cleared)
+        without_first = lambda p: Polynomial(p.arity, dict(list(p.terms().items())[1:]))
+        wrong = [
+            (g + u * v, residual), (without_first(g), residual), (g + Fraction(1, 3) * v**9, residual),
+            (g, residual + x * z), (g, without_first(residual)), (g, residual + 1),
+            (g, residual - Fraction(1, 2) * z**40),
+        ]
+        for bad_g, bad_residual in wrong:
+            with pytest.raises(AssertionError, match="^reduction failed its own verification$"):
+                reduction._verify(bad_g, bad_residual, *cleared)
+
+    def test_residual_must_drop_the_degree(self):
+        # g = 0 satisfies the identity with residual = F_target, which is no reduction
+        pmap = PolyMap((x, y + x**2, z))
+        _, cleared = self.answer(pmap, 1)
+        with pytest.raises(AssertionError, match="^reduction failed its own verification$"):
+            reduction._verify(Polynomial.zero(2), pmap.components[1], *cleared)
+
+
 class TestDigest:
     def test_reduction_digest_of_two_streams(self):
         # the answers of tools/digest.py reductions on the benchmark's
