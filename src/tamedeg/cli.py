@@ -5,7 +5,11 @@ compose, verify-example.  Exit codes: 0 success, 1 domain error
 (precondition failure, failed verification, a result failing its own
 internal check), 2 usage or parse error.
 Results go to stdout, diagnostics to stderr, and identical invocations
-produce byte-identical output.
+produce byte-identical output.  One function, `_emit`, writes every
+result except `scan`'s rows: each subcommand builds its JSON payload and
+its text from the same values, and `_emit` prints the payload as one
+JSON line under --json (always, for `reduce` and `semigroup`, which have
+no text form), otherwise the text.
 
 Polynomial arguments longer than 200 characters must come from
 polynomial files (pass paths and the --file flag).
@@ -49,41 +53,48 @@ def _finite(value: int | float) -> int | None:
 # ---- subcommand handlers ----
 
 
+def _emit(args: argparse.Namespace, payload: dict, text: str | None = None) -> int:
+    """Write a subcommand's result to stdout: `payload` as one JSON line
+    under --json or when the subcommand has no text form (and so no
+    --json flag), otherwise `text` as it is."""
+    if text is None or args.json:
+        print(json.dumps(payload))
+    else:
+        print(text, end="")
+    return 0
+
+
+def _text(lines) -> str:
+    """The lines, each ended by a newline."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def _cmd_decide(args: argparse.Namespace) -> int:
     triple = decision.normalize_triple([args.d1, args.d2, args.d3])
     result = decision.decide(triple)
-    witness_text = None
-    if args.witness and result.witness is not None:
-        witness_text = parsing.format_word_file(result.witness, ("x", "y", "z"))
-    if args.json:
-        payload = {
-            "triple": list(result.triple),
-            "verdict": result.verdict,
-            "reason": result.reason,
-            "representation": list(result.representation) if result.representation else None,
-            "witness_len": len(result.witness) if result.witness is not None else None,
-            "failed_hypotheses": list(result.failed_hypotheses),
-        }
-        if args.witness:
-            payload["witness"] = witness_text
-        print(json.dumps(payload))
-        return 0
-    print(f"triple: {result.triple}")
-    print(f"verdict: {result.verdict}")
-    print(f"reason: {result.reason}")
+    payload = {
+        "triple": list(result.triple),
+        "verdict": result.verdict,
+        "reason": result.reason,
+        "representation": list(result.representation) if result.representation else None,
+        "witness_len": len(result.witness) if result.witness is not None else None,
+        "failed_hypotheses": list(result.failed_hypotheses),
+    }
+    lines = [f"triple: {result.triple}", f"verdict: {result.verdict}", f"reason: {result.reason}"]
     if result.representation is not None:
         s, t = result.representation
-        print(f"representation: d3 = {s}*d1 + {t}*d2")
+        lines.append(f"representation: d3 = {s}*d1 + {t}*d2")
     if result.witness is not None:
-        print(f"witness: {len(result.witness)} steps")
-    for line in result.failed_hypotheses:
-        print(f"unmet: {line}")
+        lines.append(f"witness: {len(result.witness)} steps")
+    text = _text(lines + [f"unmet: {line}" for line in result.failed_hypotheses])
     if args.witness:
-        if witness_text is None:
-            print("witness: none recorded for this verdict")
-        else:
-            print(witness_text, end="")
-    return 0
+        # The word is formatted only on request: it is the costly part.
+        witness_text = None
+        if result.witness is not None:
+            witness_text = parsing.format_word_file(result.witness, ("x", "y", "z"))
+        payload["witness"] = witness_text
+        text += "witness: none recorded for this verdict\n" if witness_text is None else witness_text
+    return _emit(args, payload, text)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -106,12 +117,8 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
     bracket = poisson.poisson_bracket(f, g)
     coefficients = parsing.format_coefficients(bracket, names)
     text = parsing.join_coefficients(coefficients)
-    if args.json:
-        print(json.dumps({"bracket": text, "coefficients": coefficients, "degree": _finite(bracket.degree())}))
-    else:
-        print(text)
-        print(f"degree: {bracket.degree()}")
-    return 0
+    payload = {"bracket": text, "coefficients": coefficients, "degree": _finite(bracket.degree())}
+    return _emit(args, payload, _text([text, f"degree: {bracket.degree()}"]))
 
 
 def _cmd_su_check(args: argparse.Namespace) -> int:
@@ -121,12 +128,7 @@ def _cmd_su_check(args: argparse.Namespace) -> int:
     big_g = _polynomial_argument(args.G, ("u", "v"), args.file)
     report = poisson.su_bound(f, g, big_g)
     payload = {**dataclasses.asdict(report), "lhs_degree": _finite(report.lhs_degree)}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    return 0
+    return _emit(args, payload, _text(f"{key}: {value}" for key, value in payload.items()))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -140,19 +142,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     else:
         hit = reduction.find_any_reduction(pmap, args.cap)
         target, found = (hit[0] + 1, hit[1]) if hit is not None else (None, None)
-    if found is None:
-        payload = {"found": False, "target": target, "g": None, "residual": None,
-                   "residual_degree": None}
-    else:
-        payload = {
-            "found": True,
-            "target": target,
-            "g": parsing.format_polynomial(found.g, ("u", "v")),
-            "residual": parsing.format_polynomial(found.residual, names),
-            "residual_degree": found.residual_degree,
-        }
-    print(json.dumps(payload))
-    return 0
+    g = residual = residual_degree = None
+    if found is not None:
+        g = parsing.format_polynomial(found.g, ("u", "v"))
+        residual = parsing.format_polynomial(found.residual, names)
+        residual_degree = found.residual_degree
+    return _emit(args, {"found": found is not None, "target": target, "g": g, "residual": residual,
+                        "residual_degree": residual_degree})
 
 
 def _cmd_semigroup(args: argparse.Namespace) -> int:
@@ -161,54 +157,39 @@ def _cmd_semigroup(args: argparse.Namespace) -> int:
         frob = semigroup.frobenius(args.a, args.b)
     except ValueError:
         frob = None
-    payload = {
+    return _emit(args, {
         "member": rep is not None,
         "s": rep[0] if rep else None,
         "t": rep[1] if rep else None,
         "frobenius": frob,
-    }
-    print(json.dumps(payload))
-    return 0
+    })
 
 
 def _cmd_mdeg(args: argparse.Namespace) -> int:
     polys, _ = parsing.parse_map_file(_read_text(args.mapfile))
     degrees = PolyMap(tuple(polys)).mdeg()
-    if args.json:
-        print(json.dumps({"mdeg": [_finite(d) for d in degrees]}))
-    else:
-        print("(" + ", ".join(str(d) for d in degrees) + ")")
-    return 0
+    return _emit(args, {"mdeg": [_finite(d) for d in degrees]}, "(" + ", ".join(str(d) for d in degrees) + ")\n")
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     steps, names = parsing.parse_word_file(_read_text(args.wordfile))
     pmap = automorphisms.compose_word(steps, arity=len(names))
-    if args.json:
-        print(json.dumps({
-            "vars": list(names),
-            "components": [parsing.format_polynomial(c, names) for c in pmap.components],
-            "mdeg": [_finite(d) for d in pmap.mdeg()],
-        }))
-    else:
-        print(parsing.format_map_file(pmap.components, names), end="")
-        print(f"# mdeg: {pmap.mdeg()}")
-    return 0
+    degrees = pmap.mdeg()
+    payload = {
+        "vars": list(names),
+        "components": [parsing.format_polynomial(c, names) for c in pmap.components],
+        "mdeg": [_finite(d) for d in degrees],
+    }
+    return _emit(args, payload, parsing.format_map_file(pmap.components, names) + f"# mdeg: {degrees}\n")
 
 
 def _cmd_verify_example(args: argparse.Namespace) -> int:
     report = verify.verify_example()
-    if args.json:
-        print(json.dumps({"passed": report.passed, "checks": [dataclasses.asdict(c) for c in report.checks]}))
-    else:
-        for c in report.checks:
-            if c.passed:
-                print(f"PASS {c.name}: {c.computed}")
-            else:
-                print(f"FAIL {c.name}: expected {c.expected}, computed {c.computed}")
-        total = len(report.checks)
-        failed = len(report.failures())
-        print(f"{total - failed}/{total} checks passed")
+    lines = [f"PASS {c.name}: {c.computed}" if c.passed
+             else f"FAIL {c.name}: expected {c.expected}, computed {c.computed}" for c in report.checks]
+    total, failed = len(report.checks), len(report.failures())
+    lines.append(f"{total - failed}/{total} checks passed")
+    _emit(args, {"passed": report.passed, "checks": [dataclasses.asdict(c) for c in report.checks]}, _text(lines))
     return 0 if report.passed else 1
 
 

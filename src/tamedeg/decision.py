@@ -181,19 +181,27 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+# The table is built whole before it is returned: 200 gives 1,353,400
+# triples, where 1000 would ask for 167,167,000.
+SCAN_MAX_DEGREE = 200
+
+
 def scan(max_degree: int) -> list[Decision]:
     """Decisions for every sorted triple with d3 <= max_degree.
 
     Output order is deterministic, ascending in (d3, d2, d1).  The scan
     runs on min(cores, number of triples) worker processes, where cores
     is the number of CPUs this process may run on; with one worker it
-    runs in this process.  The result never depends on the count.  On
+    runs in this process.  The result never depends on the count.
+    max_degree must lie in 3..SCAN_MAX_DEGREE, else ValueError.  On
     platforms that spawn worker processes instead of forking them, a
     script that calls scan must guard its entry point with
     `if __name__ == "__main__":`.
     """
     if not isinstance(max_degree, int) or max_degree < 3:
         raise ValueError(f"scan needs max_degree >= 3, got {max_degree!r}")
+    if max_degree > SCAN_MAX_DEGREE:
+        raise ValueError(f"scan needs max_degree <= {SCAN_MAX_DEGREE}, got {max_degree}")
     triples = list(sorted_triples(max_degree))
     # The pool forks all its workers at the first submit; more than one
     # per triple would sit idle.

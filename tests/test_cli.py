@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -165,6 +166,13 @@ class TestScan:
         assert code == 1
         assert "max_degree" in err
 
+    def test_max_too_large(self, capsys, time_limit):
+        with time_limit(1):
+            code, out, err = run(capsys, "scan", "--max", "1000000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: scan needs max_degree <= 200, got 1000000\n"
+
     def test_output_does_not_depend_on_cores(self, capsys, monkeypatch, tmp_path):
         outputs = {}
         for cores in (1, 2):
@@ -190,6 +198,11 @@ class TestBracket:
         code, out, _ = run(capsys, "bracket", "x", "x^2")
         assert code == 0
         assert out == "0\ndegree: -inf\n"
+
+    def test_dependent_pair_json_degree_is_null(self, capsys):
+        code, out, _ = run(capsys, "bracket", "x", "x^2", "--json")
+        assert code == 0
+        assert json.loads(out) == {"bracket": "0", "coefficients": {}, "degree": None}
 
     def test_example_pair_from_files(self, capsys, tmp_path):
         pmap = build_example_map()
@@ -471,6 +484,16 @@ class TestMdegAndCompose:
         assert code == 0
         assert json.loads(out) == {"mdeg": [3, 5, 11]}
 
+    def test_mdeg_of_a_zero_component(self, capsys, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("vars: x, y, z\n0\ny\nz\n", encoding="utf-8")
+        code, out, _ = run(capsys, "mdeg", str(path))
+        assert code == 0
+        assert out == "(-inf, 1, 1)\n"
+        code, out, _ = run(capsys, "mdeg", str(path), "--json")
+        assert code == 0
+        assert out == '{"mdeg": [null, 1, 1]}\n'
+
     @pytest.mark.parametrize("line, column", [("x²", 2), ("x + " + "7" * 5000, 5)],
                              ids=["superscript-digit", "5000-digit-literal"])
     def test_unreadable_map_line_is_a_parse_error(self, capsys, tmp_path, line, column):
@@ -723,6 +746,24 @@ class TestDigestTool:
             "verify-example calls 2 sha256 fba17b49f8f4311c5b3eafb0d8794665ac177b8493264854f617a8b9dad2184f",
             f"total calls 1671 sha256 {total}",
         ]
+
+
+class TestProcess:
+    @pytest.mark.parametrize("argv, code", [
+        (["decide", "3", "5", "7", "--json"], 0),
+        (["decide", "0", "5", "7"], 1),
+        (["frobnicate"], 2),
+    ])
+    def test_module_run_matches_main(self, capsys, argv, code):
+        done = subprocess.run([sys.executable, "-m", "tamedeg.cli", *argv], cwd=ROOT, capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+        assert done.returncode == code
+        if code == 0:
+            assert len(done.stdout.splitlines()) == 1
+            json.loads(done.stdout)
+        if code == 1:
+            assert done.stderr == "error: degrees must be positive integers, got [0, 5, 7]\n"
 
 
 class TestUsage:

@@ -361,11 +361,16 @@ class TestScan:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
-    def test_max_degree_validation(self):
+    def test_max_degree_validation(self, time_limit):
         with pytest.raises(ValueError):
             scan(2)
         with pytest.raises(ValueError):
             scan("10")
+        # refused before any triple is built
+        with time_limit(1):
+            for max_degree in (201, 10**6):
+                with pytest.raises(ValueError, match=f"max_degree <= 200, got {max_degree}"):
+                    scan(max_degree)
 
     def test_catalog_entries_only_fire_on_their_triples(self):
         hits = [d.triple for d in scan(25) if d.reason == "KnownInstance"]
