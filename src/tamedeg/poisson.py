@@ -10,17 +10,22 @@ basis symbol carries degree 2, so the degree of a nonzero bracket is
 zero the bracket vanishes exactly when f and g are algebraically
 dependent, which is what makes it usable as an exact dependence test.
 
-`poisson_bracket` builds no derivative and no product of polynomials.
-The bracket is bilinear, so it clears each operand's denominators once
-and reads every coefficient off the rule on monomials,
+The bracket is bilinear, so it is defined by the rule on monomials
 
-    [x^a, x^b] = sum over i < j of (a_i b_j - a_j b_i) x^(a+b-e_i-e_j) [x_i, x_j],
+    [x^a, x^b] = sum over i < j of (a_i b_j - a_j b_i) x^(a+b-e_i-e_j) [x_i, x_j].
 
-in one pass over integer term pairs, with the exponents of a + b added
-as packed int keys (`polynomials._packing`).  Its coefficients are the 2x2
-minors of the two gradients, so `PolyMap.jacobian_det` reuses the
-bracket for its cofactors.  Bracket text is printed by
-`parsing.format_bracket`.
+`poisson_bracket` builds no derivative: it clears each operand's
+denominators once and computes that rule as one integer product through
+`polynomials._packed_product`, the product loop the whole package
+shares, over packed exponent keys (`polynomials._packing`).  Each term's
+coefficient also carries its exponent vector in bit slots (Kronecker
+substitution on the coefficients), so slot i + n j of the product at
+key a + b sums c d a_i b_j over the term pairs, and the coefficient on
+[x_i, x_j] at a + b - e_i - e_j is slot(i + n j) - slot(j + n i).
+`algebraically_dependent` reads the same sums and builds no bracket.
+The coefficients are the 2x2 minors of the two gradients, so
+`PolyMap.jacobian_det` reuses the bracket for its cofactors.  Bracket
+text is printed by `parsing.format_bracket`.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from operator import lshift
+from typing import Callable, Iterator
 
-from .polynomials import NEG_INFINITY, Polynomial, _packing, divide_homogeneous
+from .polynomials import NEG_INFINITY, Monomial, Polynomial, _packed_product, _packing, divide_homogeneous
 
 
 class BracketValue:
@@ -100,50 +106,83 @@ class BracketValue:
         return f"BracketValue({body})"
 
 
-def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
-    """[f, g], its coefficients read straight off the monomial rule.
-
-    With f = F/D and g = G/E, where D and E clear the denominators,
-    bilinearity gives [f, g] = [F, G]/(D*E).  Every term pair c x^a,
-    c' x^b of F and G adds (a_i b_j - a_j b_i) c c' to the coefficient
-    of x^(a+b-e_i-e_j) on [x_i, x_j], summed over Python ints; each
-    nonzero sum becomes one Fraction over D*E.  A nonzero weight needs
-    a_i + b_i >= 1 and a_j + b_j >= 1, so no exponent drops below zero
-    and subtracting the packed e_i + e_j from a packed key borrows
-    nothing from the next field.
-    """
+def _cleared_pair(f: Polynomial, g: Polynomial) -> tuple[dict[Monomial, int], int, dict[Monomial, int], int]:
+    """(F, D, G, E) with f = F/D and g = G/E over integer terms, once f
+    and g are known to share an arity of at least 2."""
     if f.arity != g.arity:
         raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
-    n = f.arity
-    if n < 2:
+    if f.arity < 2:
         raise ValueError("brackets need at least two variables")
-    F, D = f.cleared()
-    G, E = g.cleared()
+    return (*f.cleared(), *g.cleared())
+
+
+def _minor_sums(F: dict[Monomial, int], G: dict[Monomial, int],
+                pack: Callable[[Monomial], int], n: int) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """(i, j, sums) for each i < j, where sums maps each key k of F*G
+    packed by `pack` to the minor sum at k, over the term pairs c x^a of F
+    and d x^b of G with pack(a) + pack(b) == k, of c d (a_i b_j - a_j b_i),
+    when that sum is nonzero.
+
+    One `_packed_product` makes every sum.  Term c x^a of F carries the
+    int c * sum_i a_i 2^(w i) and term d x^b of G carries
+    d * sum_j b_j 2^(w n j), so bit slot i + n j of the product at key k
+    holds the sum of c d a_i b_j.  A key takes at most one term of G per
+    term of F, so the width w keeps every slot sum below 2^(w-2) in
+    absolute value.  Once 2^(w-1) is added to every slot, each slot is
+    its sum plus 2^(w-1), borrowing nothing from the next, and the bias
+    cancels in the minor slot(i + n j) - slot(j + n i).
+    """
+    if not F or not G:
+        return
+    w = (max(map(abs, F.values())) * max(map(abs, G.values())) * max(map(max, F)) * max(map(max, G))
+         * min(len(F), len(G))).bit_length() + 2
+    rows, cols = range(0, w * n, w), range(0, w * n * n, w * n)
+    product = _packed_product({pack(a): c * sum(map(lshift, a, rows)) for a, c in F.items()},
+                              {pack(b): d * sum(map(lshift, b, cols)) for b, d in G.items()})
+    mask = (1 << w) - 1
+    bias = ((1 << w * n * n) - 1) // mask << (w - 1)  # 2^(w-1) in each of the n*n slots
+    biased = [(k, v + bias) for k, v in product.items()]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s, t = w * (i + n * j), w * (j + n * i)
+            yield i, j, {k: m for k, v in biased if (m := (v >> s & mask) - (v >> t & mask))}
+
+
+def poisson_bracket(f: Polynomial, g: Polynomial) -> BracketValue:
+    """[f, g] by the monomial rule, its minors read off one integer product.
+
+    With f = F/D and g = G/E, where D and E clear the denominators,
+    bilinearity gives [f, g] = [F, G]/(D*E): every term pair c x^a,
+    d x^b of F and G adds c d (a_i b_j - a_j b_i) to the coefficient of
+    x^(a+b-e_i-e_j) on [x_i, x_j].  `_minor_sums` makes those sums for
+    all pairs (i, j) at once, and each nonzero one becomes a Fraction
+    over D*E.  A nonzero sum at a + b needs a_i + b_i >= 1 and
+    a_j + b_j >= 1, so no exponent drops below zero and subtracting the
+    packed e_i + e_j from a packed key borrows nothing from the next
+    field.
+    """
+    F, D, G, E = _cleared_pair(f, g)
+    n = f.arity
     pack, unpack = _packing(F, G)
-    e = [pack([int(k == i) for k in range(n)]) for i in range(n)]
-    # sums keyed by packed a + b; the shift by -e_i - e_j happens once per output term
-    sums = [(i, j, e[i] + e[j], {}) for i in range(n) for j in range(i + 1, n)]
-    packed_G = [(pack(b), b, d) for b, d in G.items()]
-    for a, c in F.items():
-        ka = pack(a)
-        for kb, b, d in packed_G:
-            s = ka + kb
-            cd = c * d
-            for i, j, _, acc in sums:
-                w = a[i] * b[j] - a[j] * b[i]
-                if w:
-                    acc[s] = acc.get(s, 0) + w * cd
+    e = [pack((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
     DE = D * E
     coeffs = {}
-    for i, j, unit, acc in sums:
-        terms = {unpack(s - unit): Fraction(v, DE) for s, v in acc.items() if v}
-        coeffs[(i, j)] = Polynomial._from_clean(n, terms)
+    for i, j, sums in _minor_sums(F, G, pack, n):
+        unit = e[i] + e[j]
+        coeffs[i, j] = Polynomial._from_clean(n, {unpack(k - unit): Fraction(m, DE) for k, m in sums.items()})
     return BracketValue(n, coeffs)
 
 
 def algebraically_dependent(f: Polynomial, g: Polynomial) -> bool:
-    """Exact dependence test via bracket vanishing (characteristic zero)."""
-    return poisson_bracket(f, g).is_zero
+    """Exact dependence test: [f, g] vanishes (characteristic zero).
+
+    It reads the minor sums of `poisson_bracket`, pair by pair, and stops
+    at the first pair with a nonzero one; it builds no Fraction,
+    Polynomial or BracketValue.
+    """
+    F, _, G, _ = _cleared_pair(f, g)
+    pack, _ = _packing(F, G)
+    return not any(sums for _, _, sums in _minor_sums(F, G, pack, f.arity))
 
 
 def _mutual_leading_divisibility(f: Polynomial, g: Polynomial) -> list[str]:

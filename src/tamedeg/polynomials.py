@@ -26,8 +26,10 @@ integer numerators through `_product` and divides by d^k once at the
 end.  Otherwise `_product` packs each input term once, multiplies
 through `_packed_product` and unpacks each output term once.
 `reduction` packs its system once per search and calls
-`_packed_product` itself, and `poisson.poisson_bracket` packs under the
-same layout.
+`_packed_product` itself, and `poisson.poisson_bracket` multiplies
+through it under a `_packing` layout, each coefficient carrying its
+term's exponents in bit slots, so that one product makes every minor
+of the bracket.
 
 Sums of many terms (the constructor, `_product`, `compose`) add into one
 dict and drop the zero sums in one pass at the end.  The total degree

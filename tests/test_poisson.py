@@ -123,6 +123,10 @@ def polynomial_pairs(draw):
     return draw(polynomial), draw(polynomial)
 
 
+BIG = 10**40
+SIX = variables(6)
+
+
 class TestBracketAgainstMinors:
     @settings(max_examples=300, deadline=None)
     @given(pair=polynomial_pairs())
@@ -132,6 +136,21 @@ class TestBracketAgainstMinors:
     @example(pair=(Polynomial.zero(3), F3))
     @example(pair=(x**(10**6) * y, y * z + x))
     @example(pair=(u**3 * v + 2 * u, v**2 - Fraction(1, 3) * u * v))
+    # coefficients near 10^40 over denominators near 10^12
+    @example(pair=(Fraction(BIG + 7, 10**12 + 3) * x**2 * y - Fraction(BIG - 1, 10**12 - 11) * y * z**3 + x,
+                   Fraction(-BIG + 3, 10**12 + 1) * x * z + Fraction(BIG, 7) * y**2 * z - y))
+    # all coefficients negative
+    @example(pair=(-x**2 * y - 3 * y * z**2 - 5 * x * z - 2, -2 * x * y * z - 7 * y**3 - z))
+    # 21 x 21 same-sign terms: every pair with k == l lands on x^20 y^20 z
+    @example(pair=(sum(9 * x**k * y**(20 - k) for k in range(21)),
+                   sum(9 * x**(20 - k) * y**k * z for k in range(21))))
+    # arity 2 with large same-sign coefficients, and arity 6
+    @example(pair=(-BIG * u**3 * v**2 - BIG * u * v**4, -BIG * u**2 * v**3 - (BIG + 1) * v**5 + u))
+    @example(pair=(SIX[0] * SIX[5]**2 - 3 * SIX[1] * SIX[4] + SIX[2]**3,
+                   SIX[3] * SIX[0] + Fraction(5, 2) * SIX[5] * SIX[2] - SIX[1]**2 * SIX[4]))
+    # exponent 10^6 with large coefficients
+    @example(pair=(BIG * x**(10**6) * y - Fraction(BIG, 3) * z**(10**6),
+                   -BIG * y * z**(10**6) + x**(10**6) * z + BIG * x))
     def test_matches_minor_formula(self, pair):
         f, g = pair
         assert poisson_bracket(f, g) == minor_bracket(f, g)
@@ -189,6 +208,7 @@ class TestDependence:
     def test_power_is_dependent(self):
         f = x + y**2
         assert algebraically_dependent(f, f * f)
+        assert algebraically_dependent(x**2 * y, x**4 * y**2)
 
     def test_coordinates_independent(self):
         assert not algebraically_dependent(x, y)
@@ -200,6 +220,19 @@ class TestDependence:
     def test_example_pair_independent(self, example_map):
         f1, _, f3 = example_map.components
         assert not algebraically_dependent(f1, f3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=polynomial_pairs())
+    def test_equals_bracket_vanishing(self, pair):
+        f, g = pair
+        assert algebraically_dependent(f, g) == poisson_bracket(f, g).is_zero
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=polynomial_pairs())
+    def test_square_and_cube_are_dependent(self, pair):
+        p, _ = pair
+        assert algebraically_dependent(p**2, p**3)
+        assert poisson_bracket(p**2, p**3).is_zero
 
 
 class TestStarReduced:

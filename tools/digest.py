@@ -4,6 +4,7 @@
     python3 tools/digest.py cli
     python3 tools/digest.py reductions --streams 1-30 --budgets default,0,3
     python3 tools/digest.py reductions --streams 1-4 --targets 2 --src ../other/src
+    python3 tools/digest.py brackets
 
 `decisions` runs `decision.scan(N)` (`--max N`, default 40: every
 1 <= d1 <= d2 <= d3 <= N, in (d3, d2, d1) order, on scan's own process
@@ -44,6 +45,12 @@ residual_degree)`, or `None`, in a fixed order.  Stdout has one line
 per budget and stream with the sha256 and the counts of found and None
 answers, and one total line per budget.
 
+`brackets` computes `poisson_bracket` and `algebraically_dependent` on
+a fixed corpus of 400 pairs drawn from one seed (`bracket_pairs`) and
+hashes each bracket's text (`format_bracket`) with the dependence
+answer.  Stdout has one line per arity with the sha256 and the counts of
+dependent and independent pairs, then one total line.
+
 Stdout is deterministic, so two versions of the library give the same
 answers exactly when a subcommand's stdout is the same for both.  The
 wall time goes to stderr; it is wall time because `decisions` runs on
@@ -51,9 +58,11 @@ worker processes.  `--src` chooses the `tamedeg` source tree to import
 (default: this repository's `src/`).  Nothing under `bench/` is written.
 
 `tools/expected/decision_digest.txt` holds the stdout of `decisions
---max 40` and `tools/expected/reduction_digest.txt` that of `reductions
---streams 1-30 --budgets default,0,3`; CI diffs each run against its
-file, and a change that alters those answers on purpose records it anew.
+--max 40`, `tools/expected/reduction_digest.txt` that of `reductions
+--streams 1-30 --budgets default,0,3` and
+`tools/expected/bracket_digest.txt` that of `brackets`; CI diffs each
+run against its file, and a change that alters those answers on purpose
+records it anew.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 import time
@@ -211,6 +221,75 @@ def reductions(args) -> None:
               f"found {totals['found']} none {totals['none']}", flush=True)
 
 
+BRACKET_SEED = 2012
+BRACKET_PAIRS = 400
+
+
+def random_terms(rng, n: int, count: int, top: int) -> dict:
+    """Up to `count` terms in n variables, as {exponents: (numerator,
+    denominator)}: exponents at most `top` or, one in fifty, 10^6;
+    numerators up to 10^40 and denominators up to 10^12 in size."""
+    terms = {}
+    for _ in range(count):
+        monomial = tuple(10**6 if rng.random() < 0.02 else rng.randint(0, top) for _ in range(n))
+        numerator = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.choice((1, 3, 12, 40)))
+        terms[monomial] = (numerator, rng.randint(1, 10 ** rng.choice((0, 0, 2, 12))))
+    return terms
+
+
+def bracket_pairs():
+    """The fixed corpus of `brackets`: (arity, f, g) with arity 2-5 and
+    1-80 terms per operand.  In each run of four pairs, the first is drawn
+    term by term with exponents up to 6, the second is p^2 and p^3 - 2p
+    for a drawn p (dependent), the third is two monomials whose exponents
+    are proportional (dependent) half of the time, and the fourth is
+    drawn with exponents up to 20."""
+    from fractions import Fraction
+    from tamedeg import Polynomial
+
+    def poly(n, terms):
+        return Polynomial(n, {m: Fraction(*c) for m, c in terms.items()})
+
+    rng = random.Random(BRACKET_SEED)
+    for index in range(BRACKET_PAIRS):
+        n = rng.randint(2, 5)
+        kind = index % 4
+        if kind == 0:
+            yield n, poly(n, random_terms(rng, n, rng.randint(1, 80), 6)), \
+                poly(n, random_terms(rng, n, rng.randint(1, 80), 6))
+        elif kind == 1:
+            p = poly(n, random_terms(rng, n, rng.randint(1, 4), 3))
+            yield n, p**2, p**3 - 2 * p
+        elif kind == 2:
+            a = [rng.randint(0, 5) for _ in range(n)]
+            k, l = rng.randint(1, 4), rng.randint(1, 4)
+            b = [k * e for e in a] if rng.random() < 0.5 else [rng.randint(0, 5) for _ in range(n)]
+            yield n, poly(n, {tuple(l * e for e in a): (rng.randint(-10**40, 10**40) or 1, 7)}), \
+                poly(n, {tuple(b): (rng.randint(1, 10**12), rng.randint(1, 10**12))})
+        else:
+            yield n, poly(n, random_terms(rng, n, rng.randint(1, 80), 20)), \
+                poly(n, random_terms(rng, n, rng.randint(1, 40), 20))
+
+
+def brackets(args) -> None:
+    """Hash the Poisson brackets and dependence answers on a fixed corpus."""
+    from tamedeg import algebraically_dependent, format_bracket, poisson_bracket
+    from tamedeg.parsing import default_names
+
+    digests = {}
+    counts = Counter()
+    total = hashlib.sha256()
+    for n, f, g in bracket_pairs():
+        dependent = algebraically_dependent(f, g)
+        record = f"{format_bracket(poisson_bracket(f, g), default_names(n))} {dependent}\n".encode()
+        digests.setdefault(n, hashlib.sha256()).update(record)
+        counts[n, dependent] += 1
+        total.update(record)
+    for n in sorted(digests):
+        print(f"arity {n} sha256 {digests[n].hexdigest()} dependent {counts[n, True]} independent {counts[n, False]}")
+    print(f"total pairs {BRACKET_PAIRS} sha256 {total.hexdigest()}")
+
+
 def int_list(text: str) -> list[int]:
     """'1-4,7' -> [1, 2, 3, 4, 7]."""
     out = []
@@ -231,7 +310,7 @@ def parse_args(argv):
     src.add_argument("--src", type=Path, default=ROOT / "src", help="tamedeg source tree to import")
     commands = parser.add_subparsers(dest="command", required=True)
     sub = {}
-    for run in (decisions, cli, reductions):
+    for run in (decisions, cli, reductions, brackets):
         sub[run.__name__] = commands.add_parser(run.__name__, parents=[src], help=run.__doc__)
         sub[run.__name__].set_defaults(run=run)
     sub["decisions"].add_argument("--max", type=int, default=40, help="largest d3 (default 40)")
