@@ -16,11 +16,16 @@ single monomial; a variable's exponent in it, summed over its factors,
 is at most MAX_EXPONENT.  Digits and names are ASCII (`0-9`; names match
 `[A-Za-z_][A-Za-z0-9_]*`); any other character, such as `²` or `٣`, is
 a parse error.  Parsing takes time linear in the length of the text.
+The scanner of each tuple of names is compiled once and cached.  It
+takes a whole factor per match, and a parse takes all matches at once;
+only a failing parse scans again to find the line and column of its
+error.
 
 The printer emits the canonical form: terms in descending total degree
-with ties in ascending lexicographic order of the exponent tuple,
-explicit `*` between all factors, `^1` and unit coefficients omitted,
-and ` + ` / ` - ` joining terms.  The zero polynomial prints as `0`.
+with ties in descending lexicographic order of the exponent tuple (x
+before y before z), explicit `*` between all factors, `^1` and unit
+coefficients omitted, and ` + ` / ` - ` joining terms.  The zero
+polynomial prints as `0`.
 
 Map files list one polynomial per line after a `vars:` header:
 
@@ -45,9 +50,11 @@ write no text.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import getitem
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .automorphisms import ElementaryStep, PermutationStep, TameStep, step_arity
 from .poisson import BracketValue
@@ -57,6 +64,7 @@ MAX_EXPONENT = 10 ** 6
 
 _IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_IDENTIFIER + r"\Z")
+_SIGNS = re.compile(r"[-+\s]*")
 
 
 class ParseError(ValueError):
@@ -87,6 +95,10 @@ def validate_names(names: Sequence[str]) -> tuple[str, ...]:
             raise ValueError(f"duplicate variable name {name!r}")
         seen.add(name)
     return names
+
+
+# validate_names once per tuple of names, for the printer's every call.
+_validated = functools.lru_cache(maxsize=64)(validate_names)
 
 
 # ---- scanner and parser ----
@@ -120,122 +132,148 @@ def _numeral(text: str, line: int, start: int, end: int, rational: bool = False)
     return -value if match[1] == "-" else value
 
 
-def _tokens(text: str, names: Sequence[str], line: int, offset: int) -> list[tuple[str, object, int]]:
-    """(kind, value, offset) for each token of text[offset:], then an end token.
+@functools.lru_cache(maxsize=64)
+def _scanner(names: tuple[str, ...]) -> tuple[re.Pattern, dict[str, int]]:
+    """The scanner of one name tuple, and each name's index.
 
-    The kinds are 'num' (an int), 'name', one of +-*/^, and 'end'.  The
-    whole text is scanned before parsing, so a stray character or an
-    unknown name is reported ahead of any syntax error.
+    A match is one factor with the `*` and the signs before it (groups 1
+    to 6: star, signs, numerator, denominator, name, exponent), or else
+    what starts no factor (group 7): a run of signs, another operator, an
+    undeclared name or a stray character.  Each match takes the blanks
+    after it.  A run of signs is one match either way, so no run is
+    scanned more than twice.  The longest declared name wins, so a
+    declared `xy` beats `x` at the same position.
     """
-    # Longest declared name wins, so a declared `xy` beats `x` at the
-    # same position.
-    declared = "|".join(re.escape(name) for name in sorted(names, key=len, reverse=True))
-    scanner = re.compile(rf"\s*(?:([0-9]+)|({declared})|([-+*/^])|({_IDENTIFIER})|(\S))")
-    tokens: list[tuple[str, object, int]] = []
-    for match in scanner.finditer(text, offset):
-        group = match.lastindex
-        lexeme = match[group]
-        start = match.start(group)
-        if group == 1:
-            tokens.append(("num", _natural(lexeme, text, line, start), start))
-        elif group == 2:
-            tokens.append(("name", lexeme, start))
-        elif group == 3:
-            tokens.append((lexeme, lexeme, start))
-        elif group == 4:
-            raise _error(f"unknown variable {lexeme!r}", text, line, start)
-        else:
-            raise _error(f"unexpected character {lexeme!r}", text, line, start)
-    tokens.append(("end", None, len(text)))
-    return tokens
+    declared = "|".join(re.escape(name) for name in sorted(validate_names(names), key=len, reverse=True))
+    factor = rf"(\*\s*)?((?:[-+]\s*)*)(?:([0-9]+)\s*(?:/\s*([0-9]+)\s*)?|({declared})\s*(?:\^\s*([0-9]+)\s*)?)"
+    return re.compile(rf"{factor}|((?:[-+]\s*)+|[*/^]|{_IDENTIFIER}|\S)\s*"), {name: i for i, name in enumerate(names)}
+
+
+def _reject(text: str, line: int, offset: int, scanner: re.Pattern, k: int, message: str, group: int) -> NoReturn:
+    """Raise the ParseError of a parse of text[offset:] that stopped at its
+    k-th scanner match.
+
+    The whole text counts as scanned before it is parsed, so the first
+    over-long numeral, undeclared name or stray character from that
+    match on wins.  Else `message` is reported at the match's `group`;
+    without a message the match is an operator that no factor could
+    start with, and its syntax error is worked out here.
+    """
+    found = list(scanner.finditer(text, offset))
+    for match in found[k:]:
+        for g in (3, 4, 6):
+            if match[g]:
+                _natural(match[g], text, line, match.start(g))
+        other = match[7]
+        if other and other[0] not in "+-*/^":
+            what = "unknown variable" if _NAME_RE.match(other) else "unexpected character"
+            raise _error(f"{what} {other!r}", text, line, match.start(7))
+    if k == len(found):
+        raise _error("unexpected end of input", text, line, len(text))
+    if group == 5 and k + 1 < len(found) and found[k + 1][7] == "^":
+        # A `^` without its natural number counts before the bound on the
+        # name it follows.
+        k, message = k + 1, ""
+    match = found[k]
+    if message:
+        raise _error(message, text, line, match.start(group))
+    # The matches before the k-th are factors; `before` is the last of them.
+    op, at, before = match[7][0], match.start(7), found[k - 1] if k else None
+    if before and op == "/" and before[3] and not before[4]:
+        message, at = "expected a denominator after '/'", match.end()
+    elif before and op == "^" and before[3]:
+        message = "exponents apply to variables only"
+    elif before and op == "^" and not before[6]:
+        message, at = "expected a natural number after '^'", match.end()
+    elif op in "/^" or op == "*" and not before:
+        message = f"unexpected {op!r}"
+    else:
+        # A sign, or a '*' after a factor, and no factor after the signs
+        # that follow: what stands there is unexpected.
+        at = _SIGNS.match(text, match.end()).end()
+        message = f"unexpected {text[at]!r}" if at < len(text) else "unexpected end of input"
+    raise _error(message, text, line, at)
+
+
+def _add(terms: dict[Monomial, Fraction], exps: list[int], num: int, den: int) -> None:
+    """Add the term num/den * x^exps into `terms`."""
+    key, coeff = tuple(exps), Fraction(num, den)
+    terms[key] = terms[key] + coeff if key in terms else coeff
 
 
 def parse_polynomial(text: str, names: Sequence[str], line: int = 1, offset: int = 0) -> Polynomial:
     """Parse text[offset:] as one polynomial over the declared variable names.
 
     Errors name their line and column in `text`, whose first line is
-    line `line`.  Each term is one monomial, so the parser keeps a
-    coefficient and an exponent list per term and builds a single
-    Polynomial at the end, whose constructor merges repeated monomials:
-    linear in the text.
+    line `line`.  The scanner's matches are taken at once, a factor each;
+    only a failing parse asks where they stand.  Each term is one
+    monomial, so the parser keeps an int numerator, denominator and
+    exponent list per term, and adds the terms of one monomial as it
+    goes: linear in the text.
     """
-    names = validate_names(names)
-    index = {name: i for i, name in enumerate(names)}
-    tokens = _tokens(text, names, line, offset)
-    terms: list[tuple[Monomial, Scalar]] = []
-    pos = 0
-    while True:
-        # One term: factors joined by '*' or juxtaposition.  Its leading
-        # signs, the expression's `+`/`-` among them, are signed factors.
-        coeff: Scalar = 1
-        exps = [0] * len(names)
-        while True:
-            kind, value, start = tokens[pos]
-            pos += 1
-            if kind == "+" or kind == "-":
-                if kind == "-":
-                    coeff = -coeff
-                continue
-            if kind == "num":
-                if tokens[pos][0] == "/":
-                    kind, denominator, start = tokens[pos + 1]
-                    if kind != "num":
-                        raise _error("expected a denominator after '/'", text, line, start)
-                    if denominator == 0:
-                        raise _error("zero denominator", text, line, start)
-                    value = Fraction(value, denominator)
-                    pos += 2
-                if tokens[pos][0] == "^":
-                    raise _error("exponents apply to variables only", text, line, tokens[pos][2])
-                coeff *= value
-            elif kind == "name":
-                exponent = 1
-                if tokens[pos][0] == "^":
-                    kind, exponent, start = tokens[pos + 1]
-                    if kind != "num":
-                        raise _error("expected a natural number after '^'", text, line, start)
-                    pos += 2
+    scanner, index = _scanner(tuple(names))
+    terms: dict[Monomial, Fraction] = {}
+    exps: list[int] = []  # the current term's; empty before the first factor
+    num = den = 1
+    k, message, group = 0, "", 0
+    try:
+        for k, (star, signs, digits, denominator, name, exponent, other) in enumerate(scanner.findall(text, offset)):
+            if other:
+                break
+            # A signed factor after a factor starts a term unless a '*'
+            # joins them: implicit multiplication never consumes a sign.
+            if not exps or signs and not star:
+                if star:
+                    message, group = "unexpected '*'", 1
+                    break
+                if exps:
+                    _add(terms, exps, num, den)
+                exps, num, den = [0] * len(index), 1, 1
+            if signs and signs.count("-") & 1:
+                num = -num
+            if digits:
+                num *= int(digits)
+                if denominator:
+                    d = int(denominator)
+                    if not d:
+                        message, group = "zero denominator", 4
+                        break
+                    den *= d
+            else:
                 # Factors of one variable add up, so the bound holds the
                 # running exponent, not each factor's.
-                i = index[value]
-                exps[i] += exponent
+                i = index[name]
+                power = int(exponent) if exponent else 1
+                exps[i] += power
                 if exps[i] > MAX_EXPONENT:
-                    what = f"exponent {exponent}" if exponent > MAX_EXPONENT else f"exponent sum {exps[i]} of {value}"
-                    raise _error(f"{what} exceeds the supported bound {MAX_EXPONENT}", text, line, start)
-            elif kind == "end":
-                raise _error("unexpected end of input", text, line, start)
-            else:
-                raise _error(f"unexpected {value!r}", text, line, start)
-            # Implicit multiplication never consumes a sign, so `x - 2`
-            # ends the term at the '-'.
-            kind = tokens[pos][0]
-            if kind == "*":
-                pos += 1
-            elif kind != "name" and kind != "num":
-                break
-        terms.append((tuple(exps), coeff))
-        kind, value, start = tokens[pos]
-        if kind == "end":
-            return Polynomial(len(names), terms)
-        if kind != "+" and kind != "-":
-            raise _error(f"unexpected {value!r}", text, line, start)
+                    what = f"exponent {power}" if power > MAX_EXPONENT else f"exponent sum {exps[i]} of {name}"
+                    message, group = f"{what} exceeds the supported bound {MAX_EXPONENT}", 6 if exponent else 5
+                    break
+        else:
+            if exps:
+                _add(terms, exps, num, den)
+                return Polynomial._from_clean(len(index), {m: c for m, c in terms.items() if c})
+    except ValueError:  # a numeral beyond int()'s digit limit
+        pass
+    # Every other way out of the loop is a parse error at the k-th match,
+    # or, with no match at all, at the end of the text.
+    _reject(text, line, offset, scanner, k, message, group)
 
 
 # ---- printer ----
 
-def _format_monomial(monomial: Monomial, names: Sequence[str]) -> str:
-    parts = []
-    for name, e in zip(names, monomial):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+class _Powers(dict):
+    """Exponent -> the text of one variable's power in a monomial, built on
+    first use from the name stored under exponent 1; `''` for exponent 0."""
+
+    def __missing__(self, exponent: int) -> str:
+        text = self[exponent] = f"{self[1]}^{exponent}"
+        return text
 
 
 def _names(names: Sequence[str] | None, arity: int | None) -> tuple[str, ...]:
     """Validated names, the defaults when None; `arity` of them unless it is None."""
-    names = validate_names(names if names is not None else default_names(arity))
+    names = _validated(tuple(names) if names is not None else default_names(arity))
     if arity is not None and len(names) != arity:
         raise ValueError(f"{len(names)} names given for arity {arity}")
     return names
@@ -243,15 +281,12 @@ def _names(names: Sequence[str] | None, arity: int | None) -> tuple[str, ...]:
 
 def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
     """Render in canonical order; parse(format(p)) == p."""
-    names = _names(names, p.arity)
-    if p.is_zero:
-        return "0"
+    powers = [_Powers({0: "", 1: name}) for name in _names(names, p.arity)]
     pieces: list[str] = []
     for monomial, coeff in p.sorted_terms():
-        mono = _format_monomial(monomial, names)
+        mono = "*".join(filter(None, map(getitem, powers, monomial)))
         # the text of abs(coeff) as str(Fraction) gives it: `n` or `n/d`
         num, den = coeff.numerator, coeff.denominator
-        negative = num < 0
         magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
             body = magnitude
@@ -259,11 +294,10 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
             body = mono
         else:
             body = f"{magnitude}*{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f" - {body}" if negative else f" + {body}")
-    return "".join(pieces)
+        pieces.append(f" - {body}" if num < 0 else f" + {body}")
+    # The first term's sign stands alone: `-` or nothing.
+    text = "".join(pieces)
+    return ("-" + text[3:] if text[1] == "-" else text[3:]) if text else "0"
 
 
 def format_coefficients(b: BracketValue, names: Sequence[str] | None = None) -> dict[str, str]:

@@ -153,15 +153,15 @@ def _power(base: dict, exponent: int, one: dict, product: Callable[[dict, dict],
     return result
 
 
-def canonical_key(monomial: Monomial) -> tuple:
-    """Sort key for the canonical term order (graded lex, descending).
+def graded_key(monomial: Monomial) -> tuple:
+    """Sort key of the canonical term order (graded lex), largest first.
 
-    Total degree descending, ties broken lexicographically with earlier
-    variables heavier (x > y > z).  Used everywhere a polynomial is
-    rendered or iterated deterministically; min() under it picks the
+    Total degree, ties broken lexicographically with earlier variables
+    heavier (x > y > z).  Keys are unique, so sorting by it in reverse
+    renders a polynomial deterministically, and max() under it picks the
     graded-lex leading term, as leading-term division needs.
     """
-    return (-sum(monomial), tuple(-e for e in monomial))
+    return (sum(monomial), monomial)
 
 
 class Polynomial:
@@ -255,8 +255,8 @@ class Polynomial:
         return dict(self._terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in the canonical order (degree descending, lex ascending)."""
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=canonical_key)]
+        """Terms in the canonical order: degree descending, then exponent tuple descending."""
+        return [(m, self._terms[m]) for m in sorted(self._terms, key=graded_key, reverse=True)]
 
     def coefficient(self, monomial: Monomial) -> Fraction:
         return self._terms.get(tuple(monomial), _ZERO)
@@ -441,14 +441,14 @@ def divide_homogeneous(f: Polynomial, d: Polynomial) -> Polynomial | None:
         raise ValueError("divide_homogeneous requires homogeneous inputs")
     if f.degree() < d.degree():
         return None
-    lead_d = min(d._terms, key=canonical_key)
+    lead_d = max(d._terms, key=graded_key)
     coeff_d = d._terms[lead_d]
     remainder = f
     quotient: dict[Monomial, Fraction] = {}
     # Standard leading-term elimination; since d is homogeneous, failure
     # of the exponent-wise comparison at any step certifies non-divisibility.
     while remainder:
-        lead_r = min(remainder._terms, key=canonical_key)
+        lead_r = max(remainder._terms, key=graded_key)
         diff = tuple(a - b for a, b in zip(lead_r, lead_d))
         if any(e < 0 for e in diff):
             return None

@@ -214,6 +214,28 @@ class TestLinearParse:
         assert p.is_zero
         assert len(parse(text).terms()) == 3600
 
+    def test_twenty_thousand_rational_terms(self, time_limit):
+        # About 20,000 terms in about 0.6 MB: a pass that grew
+        # quadratically in the terms would take minutes.
+        rng = random.Random(30)
+        terms = {(a, b, c): Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**9), rng.randint(1, 10**6))
+                 for a in range(28) for b in range(28) for c in range(26)}
+        p = Polynomial(3, terms)
+        with time_limit(10):
+            text = format_polynomial(p)
+            assert parse(text) == p
+        assert len(p) == 20384
+
+    def test_error_at_the_end_of_a_long_text(self, time_limit):
+        # A failing parse scans the text again for positions; that pass
+        # stays linear too, and the error names the column of the `$`.
+        text = " + ".join(f"{k}/7*x^{k % 50}*y^{k % 31}*z" for k in range(1, 20001))
+        with time_limit(10):
+            with pytest.raises(ParseError) as info:
+                parse_polynomial("\n" + text + " $", NAMES, line=3)
+        assert (info.value.line, info.value.column) == (4, len(text) + 2)
+        assert info.value.reason == "unexpected character '$'"
+
 
 class TestFormat:
     def test_canonical_order_graded_then_lexicographic(self):
@@ -243,6 +265,22 @@ class TestFormat:
     def test_name_count_must_match_arity(self):
         with pytest.raises(ValueError):
             format_polynomial(x, ("x", "y"))
+
+    def test_terms_print_in_the_written_out_order(self):
+        # Descending degree, ties by the exponent of x1, then of x2, ...
+        # each descending; arities 4 and 5 print with names x1..x5.
+        rng = random.Random(32)
+        for arity in range(1, 6):
+            names = default_names(arity)
+            for _ in range(40):
+                terms = {tuple(rng.randint(0, 4) for _ in range(arity)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                         for _ in range(rng.randint(1, 10))}
+                p = Polynomial(arity, terms)
+                order = sorted(p.terms(), key=lambda m: (-sum(m), *(-e for e in m)))
+                pieces = [format_polynomial(Polynomial(arity, {m: p.terms()[m]}), names) for m in order]
+                expected = "".join(piece if not i else f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
+                                   for i, piece in enumerate(pieces))
+                assert format_polynomial(p, names) == (expected or "0")
 
 
 def random_polynomial(rng: random.Random) -> Polynomial:

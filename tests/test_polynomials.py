@@ -287,6 +287,44 @@ class TestDivideHomogeneous:
             count += 1
 
 
+def canonical_order(monomials) -> list:
+    """The canonical term order written out: ascending (-degree, -e_1, ..., -e_n)."""
+    return sorted(monomials, key=lambda m: (-sum(m), *(-e for e in m)))
+
+
+class TestTermOrder:
+    def test_sorted_terms_follow_the_written_out_order(self):
+        rng = random.Random(30)
+        for arity in range(1, 6):
+            for _ in range(60):
+                p = random_polynomial(rng, arity, max_degree=6, max_terms=12)
+                assert [m for m, _ in p.sorted_terms()] == canonical_order(p.terms())
+                assert dict(p.sorted_terms()) == p.terms()
+
+    def test_division_eliminates_leading_terms_in_order(self, monkeypatch):
+        # Leading-term elimination takes the quotient's terms from the
+        # largest down, so the monomials it builds are q's in canonical order.
+        built = []
+        make = Polynomial.monomial.__func__
+
+        def spy(cls, exponents, coeff=1):
+            built.append(tuple(exponents))
+            return make(cls, exponents, coeff)
+
+        monkeypatch.setattr(Polynomial, "monomial", classmethod(spy))
+        rng = random.Random(31)
+        for arity in range(1, 6):
+            for _ in range(30):
+                d = random_polynomial(rng, arity, max_terms=6)
+                q = random_polynomial(rng, arity, max_terms=6)
+                if d.is_zero or q.is_zero:
+                    continue
+                d, q = d.leading_form(), q.leading_form()
+                built.clear()
+                assert divide_homogeneous(d * q, d) == q
+                assert built == canonical_order(q.terms())
+
+
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 polynomials = st.dictionaries(monomials, fractions, max_size=5).map(

@@ -59,9 +59,11 @@ worker processes.  `--src` chooses the `tamedeg` source tree to import
 
 `tools/expected/decision_digest.txt` holds the stdout of `decisions
 --max 40`, `tools/expected/reduction_digest.txt` that of `reductions
---streams 1-30 --budgets default,0,3` and
-`tools/expected/bracket_digest.txt` that of `brackets`; CI diffs each
-run against its file, and a change that alters those answers on purpose
+--streams 1-30 --budgets default,0,3`,
+`tools/expected/bracket_digest.txt` that of `brackets` and
+`tools/expected/cli_digest.txt` that of `cli` under CPython 3.11 (from
+3.13 on, argparse wraps one usage line differently); CI diffs each run
+against its file, and a change that alters those answers on purpose
 records it anew.
 """
 
