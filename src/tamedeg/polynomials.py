@@ -23,8 +23,12 @@ scales its coefficients, and a one-term power scales the exponent tuple
 and powers the coefficient, so x^s * y^t or z^d costs no repeated
 squaring.  A many-term power clears its denominators once, squares the
 integer numerators through `_product` and divides by d^k once at the
-end.  Otherwise `_product` packs each input term once, multiplies
-through `_packed_product` and unpacks each output term once.
+end; `_power` starts from the first factor it needs, so no power is
+ever multiplied by 1.  Otherwise `_product` packs each input term once
+(a square, p*p with p the same mapping, packs it once), multiplies
+through `_packed_product` and unpacks each output term once.  A square
+takes each unordered pair of terms once, c_a^2 at 2a and 2 c_a c_b at
+a + b, about half the term pairs of the general loop.
 `reduction` packs its system once per search and calls
 `_packed_product` itself, and `poisson.poisson_bracket` multiplies
 through it under a `_packing` layout, each coefficient carrying its
@@ -100,10 +104,24 @@ def _packed_product(p: Mapping[int, Scalar], q: Mapping[int, Scalar]) -> dict[in
     tops hold the product's exponents.
 
     The term pairs accumulate in one dict, p's terms outer and q's
-    inner.  Zero sums stay in it, for the caller to drop in the pass
-    it makes over the terms anyway.
+    inner.  A square, p is q, takes each unordered pair of terms once:
+    c_a^2 goes to 2a and 2 c_a c_b to a + b for each later term b, about
+    half the pairs.  Zero sums stay in it, for the caller to drop in the
+    pass it makes over the terms anyway.
     """
     out: dict[int, Scalar] = {}
+    if p is q:
+        terms = list(p.items())
+        for i, (ka, ca) in enumerate(terms):
+            k = ka + ka
+            c = ca * ca
+            out[k] = c if (old := out.get(k)) is None else old + c
+            twice = 2 * ca
+            for kb, cb in terms[i + 1:]:
+                k = ka + kb
+                c = twice * cb
+                out[k] = c if (old := out.get(k)) is None else old + c
+        return out
     for ka, ca in p.items():
         for kb, cb in q.items():
             k = ka + kb
@@ -121,7 +139,9 @@ def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict
     nonzero coefficients is nonzero, so nothing merges and nothing is
     checked for zero.  Otherwise each term is packed once (`_packing`),
     `_packed_product` multiplies, and each output term is unpacked once,
-    in the order of the tuple keys' term pairs.
+    in the order of the tuple keys' term pairs.  A square, p is q, packs
+    its operand once and passes that one dict as both factors, so that
+    `_packed_product` takes its square rule.
     """
     if len(p) == 1 or len(q) == 1:
         single, many = (q, p) if len(q) == 1 else (p, q)
@@ -130,7 +150,8 @@ def _product(p: Mapping[Monomial, Scalar], q: Mapping[Monomial, Scalar]) -> dict
             return {tuple(map(add, ma, mb)): ca * cb for ma, ca in many.items()}
         return {ma: ca * cb for ma, ca in many.items()}
     pack, unpack = _packing(p, q)
-    out = _packed_product({pack(m): c for m, c in p.items()}, {pack(m): c for m, c in q.items()})
+    packed_p = {pack(m): c for m, c in p.items()}
+    out = _packed_product(packed_p, packed_p if p is q else {pack(m): c for m, c in q.items()})
     return {unpack(k): c for k, c in out.items() if c}
 
 
@@ -142,15 +163,20 @@ def _derivative(terms: Mapping[Monomial, Scalar], var: int) -> dict[Monomial, Sc
 
 
 def _power(base: dict, exponent: int, one: dict, product: Callable[[dict, dict], dict]) -> dict:
-    """base ** exponent by repeated squaring through `product`, from the
-    term mapping `one` of the constant 1."""
-    result = one
+    """base ** exponent by repeated squaring through `product`.
+
+    Each square is product(base, base), so `_packed_product` takes its
+    square rule.  The result starts from its first factor, never from a
+    product with 1: exponent 0 returns the term mapping `one` of the
+    constant 1, and exponent 1 returns `base` itself.
+    """
+    result = None
     while exponent:
         if exponent & 1:
-            result = product(result, base)
+            result = base if result is None else product(result, base)
         base = product(base, base) if exponent > 1 else base
         exponent >>= 1
-    return result
+    return one if result is None else result
 
 
 def graded_key(monomial: Monomial) -> tuple:

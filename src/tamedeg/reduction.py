@@ -42,12 +42,17 @@ field per variable, wide enough for every column and for T, and a top
 field holding the total degree, which is an equation's level.  Every
 power, product, equation key and residual numerator stays packed, the
 products go through `polynomials._packed_product`, and only the
-residual's terms are unpacked.
+residual's terms are unpacked.  The power chains start at A and B
+themselves, so A*A and B*B are squares, which `_packed_product` takes
+by its square rule, and a column u^s or v^t is the power itself, with
+no product by 1.
 
 The soundness recheck, `_verify`, checks every answer's identity
 F_target - g(F_j, F_k) = residual scaled to integers.  It packs under a
 layout of its own and raises fresh powers of A and B by repeated
-squaring, so it reads nothing of the solve: no power, product, row or h.
+squaring (`polynomials._power`), so it reads nothing of the solve: no
+power, product, row or h.  A term of g with s = 0 or t = 0 is likewise
+the power itself.
 
 The rows go in one degree level at a time, from the top down, and each
 consistent level's solutions form a particular solution plus a kernel.
@@ -232,7 +237,8 @@ def _verify(g: Polynomial, residual: Polynomial, *cleared: tuple[dict[Monomial, 
         difference[key] = difference.get(key, 0) + scale * tau * c
     for (s, t), n in G.items():
         weight = tau * rho * n * a ** (S - s) * b ** (U - t)
-        for key, c in _packed_product(powers_a[s], powers_b[t]).items():
+        term = _packed_product(powers_a[s], powers_b[t]) if s and t else powers_a[s] if s else powers_b[t]
+        for key, c in term.items():
             difference[key] = difference.get(key, 0) + weight * c
     if any(difference.values()) or residual.degree() >= max(map(sum, T)):
         raise AssertionError("reduction failed its own verification")
@@ -328,9 +334,13 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
             for ea, eb, et in zip(map(max, zip(*A)), map(max, zip(*B)), map(max, zip(*T)))]
     pack, unpack, width = _layout(tops)
     packed_a, packed_b, packed_t = ({pack(m): c for m, c in X.items()} for X in (A, B, T))
-    powers_j = list(accumulate(repeat(packed_a, max(s for s, _ in support)), _packed_product, initial={0: 1}))
-    powers_k = list(accumulate(repeat(packed_b, max(t for _, t in support)), _packed_product, initial={0: 1}))
-    products = [_packed_product(powers_j[s], powers_k[t]) for s, t in support]
+    # Each power chain starts at A or B itself, not at 1, so A*A and B*B
+    # are squares, and a column u^s or v^t is its power itself.
+    powers_j, powers_k = ([{0: 1}, *accumulate(repeat(base, top - 1), _packed_product, initial=base)]
+                          for base, top in ((packed_a, max(s for s, _ in support)),
+                                            (packed_b, max(t for _, t in support))))
+    products = [_packed_product(powers_j[s], powers_k[t]) if s and t else powers_j[s] if s else powers_k[t]
+                for s, t in support]
 
     # One equation per monomial of degree >= 2, read off each column's
     # nonzero terms once, and grouped by total degree, the key's top

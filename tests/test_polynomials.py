@@ -596,6 +596,60 @@ class TestPackedLayout:
                 assert pack(m) >> width == sum(m)
 
 
+# Few keys and few small coefficients, so that term pairs meet on one key
+# and their sums often cancel; 0 stands for a zero sum that a power chain
+# of the reduction search keeps and multiplies on.
+packed_keys = st.one_of(st.integers(0, 6), st.integers(0, 2**70))
+int_coefficients = st.sampled_from([-2, -1, 0, 1, 2])
+fraction_coefficients = st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(3, 4)])
+cancelling_polynomials = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), fraction_coefficients,
+                                         min_size=2, max_size=6).map(lambda d: Polynomial(3, d))
+
+
+class TestSquare:
+    """`_packed_product(p, p)`, which takes each unordered term pair once,
+    against the general loop over all pairs, and the powers built on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.dictionaries(packed_keys, int_coefficients, max_size=8),
+                     st.dictionaries(packed_keys, fraction_coefficients, max_size=8)))
+    @example({})
+    @example({5: 3})
+    @example({0: 1, 1: 2, 2: -2})  # 2*1*(-2) + 2^2 cancels on key 2
+    @example({0: Fraction(1, 2), 1: Fraction(1), 2: Fraction(-1)})  # likewise over Fractions
+    @example({0: 1, 1: 0, 2**70: -1})
+    def test_square_matches_general_loop(self, p):
+        # dict(p) is an equal operand that is not p, so it takes the
+        # general loop.  The two insert keys in different orders, so
+        # they compare as dicts: same keys, zero sums included, same values.
+        square, general = _packed_product(p, p), _packed_product(p, dict(p))
+        assert square == general
+        assert {k: type(c) for k, c in square.items()} == {k: type(c) for k, c in general.items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_mapping_pairs())
+    def test_tuple_square_matches_distinct_operands(self, pair):
+        p, _ = pair
+        assert _product(p, p) == _product(p, dict(p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(cancelling_polynomials, mixed_denominator_polynomials, any_polynomials), st.integers(1, 6))
+    def test_power_is_repeated_product(self, p, k):
+        # q equals p but is another object, so no product below is a square.
+        q = Polynomial(3, p.terms())
+        product = p
+        for _ in range(k - 1):
+            product = product * q
+        assert p ** k == product
+        assert p * p == p * q
+
+    def test_power_of_a_cancelling_square(self):
+        # (1 + 2x - 2x^2)^2 = 1 + 4x - 8x^3 + 4x^4: the x^2 sums cancel.
+        p = 1 + 2 * x - 2 * x**2
+        assert p**2 == p * p == 1 + 4 * x - 8 * x**3 + 4 * x**4
+        assert p**3 == p * p * p
+
+
 def test_str_uses_canonical_form():
     g = z + 3 * x**2 * y + 3 * x * y**3 + y**5
     assert str(g) == "y^5 + 3*x*y^3 + 3*x^2*y + z"
