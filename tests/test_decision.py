@@ -206,26 +206,6 @@ class TestExclusionOracle:
         assert reasons == {"Theorem3Exclusion", "Theorem4Exclusion", "HypothesesFail"}
 
 
-class TestDigestTool:
-    def test_max_20(self):
-        # the output of tools/digest.py decisions --max 20, computed
-        # before decide's exclusion rules became a table
-        done = subprocess.run(
-            [sys.executable, "tools/digest.py", "decisions", "--max", "20"],
-            cwd=ROOT, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == [
-            "max 20 sha256 7664d55dbd4a04967fee69536925ca13f9d2631d3a1574d3af0f17680caa8419 decisions 1540",
-            "EqualFirstPair 135",
-            "HypothesesFail 318",
-            "SemigroupMember 459",
-            "Theorem3Exclusion 152",
-            "Theorem4Exclusion 76",
-            "TrivialSmallDegree 400",
-        ]
-
-
 class TestPrimality:
     def test_matches_sympy(self):
         ours = [n for n in range(1, 20_001) if decision._is_prime(n)]

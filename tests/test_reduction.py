@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -34,7 +31,6 @@ from tamedeg.parsing import format_polynomial
 
 x, y, z = variables(3)
 u, v = variables(2)
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def support_products(pmap: PolyMap, target: int, cap: int) -> list[Polynomial]:
@@ -693,39 +689,3 @@ class TestRecheck:
         _, cleared = self.answer(pmap, 1)
         with pytest.raises(AssertionError, match="^reduction failed its own verification$"):
             reduction._verify(Polynomial.zero(2), pmap.components[1], *cleared)
-
-
-class TestDigest:
-    def test_reduction_digest_of_two_streams(self):
-        # the answers of tools/digest.py reductions on the benchmark's
-        # first two map streams, every target at the default cap; they
-        # take each branch of the candidate stream: stream 1 map007.txt
-        # backs off a level at target indices 0 and 1, and stream 1
-        # map139.txt (index 0) and stream 2 map119.txt (index 2) move
-        # past a support whose members are all rejected, then win with
-        # a kernel shift
-        done = subprocess.run(
-            [sys.executable, "tools/digest.py", "reductions", "--streams", "1-2"],
-            cwd=ROOT, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == [
-            "budget default stream 1 sha256 211faafeecead419f9b781ec9e0d88dfcf291414dd6c6bf69170722a2e4bf3bf found 155 none 325",
-            "budget default stream 2 sha256 0120bfa000f6df420e0e79b748498b09028c72f53abd3625d5ea927c6b660eb3 found 158 none 322",
-            "budget default total sha256 aebca507744741698e3929a58db2c1480ff6b435c70697fb72976f77f8f8a55e found 313 none 647",
-        ]
-
-    def test_reduction_digest_past_the_budget(self):
-        # with SUBSET_BUDGET 0 every level jumps straight to the whole
-        # family, a path the first two streams at the default budget
-        # never take; stream 14 takes it 137 times over a nonempty
-        # kernel, and its default-budget digest differs (b5c8c23c...)
-        done = subprocess.run(
-            [sys.executable, "tools/digest.py", "reductions", "--streams", "14", "--budgets", "0"],
-            cwd=ROOT, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == [
-            "budget 0 stream 14 sha256 f40800864b53ebd4ffe66502f242b7e5d4ae26eca75355fc9e4a2ee006e9ce10 found 178 none 302",
-            "budget 0 total sha256 04d67961aa163bbad1b90bcf46163a9c3d4fa37fc496053647f9e4fe2b908afa found 178 none 302",
-        ]

@@ -1,10 +1,13 @@
-"""tools/code_lines.py on a fixture module whose code lines are counted by hand."""
+"""The tools: code_lines.py on a hand-counted fixture, digest.py against tools/expected/."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,3 +58,45 @@ def test_code_lines_of_fixture(tmp_path):
         "    13 tamedeg/fixture.py",
         "    13 total",
     ]
+
+
+@pytest.mark.parametrize("argv, recorded, count", [
+    (["decisions", "--max", "20"], "decision_digest.txt", 20),
+    # every target at the default cap on the benchmark's first two map
+    # streams, which take each branch of the candidate stream: stream 1
+    # map007.txt backs off a level at target indices 0 and 1, and stream
+    # 1 map139.txt (index 0) and stream 2 map119.txt (index 2) move past
+    # a support whose members are all rejected, then win with a kernel
+    # shift
+    (["reductions", "--streams", "1-2"], "reduction_digest.txt", 2),
+    # with SUBSET_BUDGET 0 every level jumps straight to the whole
+    # family, a path the first two streams at the default budget never
+    # take; stream 14 takes it 137 times over a nonempty kernel
+    (["reductions", "--streams", "14", "--budgets", "0"], "reduction_digest.txt", 1),
+], ids=["decisions-max-20", "reductions-streams-1-2", "reductions-stream-14-budget-0"])
+def test_digest_lines_are_recorded(argv, recorded, count):
+    # each d3 or stream line of a short tools/digest.py run is a line of
+    # the file that CI diffs the full run against
+    done = subprocess.run([sys.executable, "tools/digest.py", *argv], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    printed = [line for line in done.stdout.splitlines() if line.startswith("d3 ") or " stream " in line]
+    assert len(printed) == count
+    lines = set((ROOT / "tools" / "expected" / recorded).read_text(encoding="utf-8").splitlines())
+    assert [line for line in printed if line not in lines] == []
+
+
+def test_recorded_decision_digest_adds_up():
+    # d3 = k has k(k + 1)/2 sorted triples; the d3 lines' counts per
+    # reason add up to the total line and to each reason line
+    lines = (ROOT / "tools" / "expected" / "decision_digest.txt").read_text(encoding="utf-8").splitlines()
+    blocks = [line.split() for line in lines if line.startswith("d3 ")]
+    assert [int(block[1]) for block in blocks] == list(range(1, 41))
+    reasons = Counter()
+    for d3, block in enumerate(blocks, 1):
+        counts = {reason: int(n) for reason, n in zip(block[4::2], block[5::2])}
+        assert sum(counts.values()) == d3 * (d3 + 1) // 2, block[:2]
+        reasons.update(counts)
+    total, *reason_lines = lines[len(blocks):]
+    assert total.startswith("max 40 sha256 ") and total.endswith(f" decisions {sum(reasons.values())}")
+    assert dict((reason, int(n)) for reason, n in map(str.split, reason_lines)) == reasons

@@ -11,8 +11,9 @@
 pool) and hashes each decision's triple, verdict, reason,
 representation, unmet hypotheses and witness word, the word as its
 word file (`parsing.format_word_file`) or `none`.  Stdout has one line
-with the sha256 and the number of decisions, then one line per reason
-with its count.
+per d3 with the sha256 of its block and the block's count per reason,
+then one line with the sha256 and the number of all decisions, then
+one line per reason with its count.
 
 `cli` calls `tamedeg.cli.main(argv)` in-process on every argv of a
 fixed corpus and hashes each call's argv, exit code, stdout and stderr,
@@ -62,9 +63,13 @@ worker processes.  `--src` chooses the `tamedeg` source tree to import
 --streams 1-30 --budgets default,0,3`,
 `tools/expected/bracket_digest.txt` that of `brackets` and
 `tools/expected/cli_digest.txt` that of `cli` under CPython 3.11 (from
-3.13 on, argparse wraps one usage line differently); CI diffs each run
-against its file, and a change that alters those answers on purpose
-records it anew.
+3.13 on, argparse wraps one usage line differently).  CI diffs the
+full `decisions`, `reductions` and `brackets` runs against their
+files.  The test suite diffs `cli` against its file (`test_cli_digest`)
+and finds the d3 and stream lines of shorter runs in the decision and
+reduction files (`test_digest_lines_are_recorded`), whose counts it
+adds up too (`test_recorded_decision_digest_adds_up`).  A change that
+alters those answers on purpose records them anew.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -101,17 +107,23 @@ BAD_FILES = {
 
 
 def decisions(args) -> None:
-    """Hash scan(N)'s decisions and count them per reason."""
+    """Hash scan(N)'s decisions per d3 and in all, and count them per reason."""
     from tamedeg import decision
     from tamedeg.parsing import format_word_file
 
     found = decision.scan(args.max)
-    digest = hashlib.sha256()
-    for d in found:
-        word = "none\n" if d.witness is None else format_word_file(d.witness, ("x", "y", "z"))
-        digest.update(f"{d.triple} {d.verdict} {d.reason} {d.representation} {list(d.failed_hypotheses)}\n"
-                      f"{word}".encode())
-    reasons = Counter(d.reason for d in found)
+    digest, reasons = hashlib.sha256(), Counter()
+    for d3, block in itertools.groupby(found, key=lambda d: d.triple[2]):
+        block_digest, block_reasons = hashlib.sha256(), Counter()
+        for d in block:
+            word = "none\n" if d.witness is None else format_word_file(d.witness, ("x", "y", "z"))
+            record = (f"{d.triple} {d.verdict} {d.reason} {d.representation} {list(d.failed_hypotheses)}\n"
+                      f"{word}").encode()
+            block_digest.update(record)
+            digest.update(record)
+            block_reasons[d.reason] += 1
+        print(f"d3 {d3} sha256 {block_digest.hexdigest()}", *(f"{r} {block_reasons[r]}" for r in sorted(block_reasons)))
+        reasons += block_reasons
     print(f"max {args.max} sha256 {digest.hexdigest()} decisions {len(found)}")
     for reason in sorted(reasons):
         print(f"{reason} {reasons[reason]}")
