@@ -13,7 +13,7 @@ import math
 
 def _validate_generators(a: int, b: int) -> None:
     for value in (a, b):
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ValueError(f"generators must be positive integers, got ({a}, {b})")
 
 
@@ -25,7 +25,7 @@ def membership(l: int, a: int, b: int) -> tuple[int, int] | None:
     d = gcd(a, b), and l is a member exactly when t*b <= l.
     """
     _validate_generators(a, b)
-    if not isinstance(l, int) or l < 0:
+    if type(l) is not int or l < 0:
         raise ValueError(f"membership target must be a nonnegative integer, got {l!r}")
     d = math.gcd(a, b)
     if l % d:

@@ -112,3 +112,10 @@ class TestFrobenius:
     def test_unit_generator_rejected(self):
         with pytest.raises(ValueError):
             frobenius(1, 5)
+
+
+@pytest.mark.parametrize("function, args", [(membership, (True, 3, 5)), (membership, (5, True, 2)),
+                                            (frobenius, (2, True))])
+def test_bool_arguments_rejected(function, args):
+    with pytest.raises(ValueError):
+        function(*args)

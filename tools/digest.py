@@ -20,11 +20,13 @@ fixed corpus and hashes each call's argv, exit code, stdout and stderr,
 in a fixed order.  The corpus:
 
 - `decide` on every sorted triple with d3 <= 12, with and without
-  `--witness`, in text and `--json`;
+  `--witness`, in text and `--json`, and with `--witness --json` on
+  those with d3 <= 20 and on 680 with d3 from 25 to 10**12;
 - `scan --max 10` in CSV and JSON;
 - `bracket` and `su-check` inline and with `--file` on the components of
   the paper's (10, 23, 25) map, whose text comes from the benchmark's
-  `example` workload (`bench/workloads.example_inputs`);
+  `example` workload (`bench/workloads.example_inputs`), and with
+  `--file --json` on 50 seeded pairs of files (`path_pair_files`);
 - `reduce` on the 160 map files of the benchmark's `reduce` stream
   (`bench/workloads.reduce_inputs`, seed 1), and on the paper's map;
 - `semigroup`, `mdeg`, `compose` and both forms of `verify-example`;
@@ -58,18 +60,17 @@ wall time goes to stderr; it is wall time because `decisions` runs on
 worker processes.  `--src` chooses the `tamedeg` source tree to import
 (default: this repository's `src/`).  Nothing under `bench/` is written.
 
-`tools/expected/decision_digest.txt` holds the stdout of `decisions
---max 40`, `tools/expected/reduction_digest.txt` that of `reductions
---streams 1-30 --budgets default,0,3`,
-`tools/expected/bracket_digest.txt` that of `brackets` and
-`tools/expected/cli_digest.txt` that of `cli` under CPython 3.11 (from
-3.13 on, argparse wraps one usage line differently).  CI diffs the
-full `decisions`, `reductions` and `brackets` runs against their
-files.  The test suite diffs `cli` against its file (`test_cli_digest`)
-and finds the d3 and stream lines of shorter runs in the decision and
-reduction files (`test_digest_lines_are_recorded`), whose counts it
-adds up too (`test_recorded_decision_digest_adds_up`).  A change that
-alters those answers on purpose records them anew.
+`tools/expected/` holds the stdout of `decisions --max 40`
+(`decision_digest.txt`), `reductions --streams 1-30 --budgets
+default,0,3` (`reduction_digest.txt`), `brackets` (`bracket_digest.txt`)
+and `cli` under CPython 3.11 (`cli_digest.txt`; from 3.13 on, argparse
+wraps one usage line differently).  CI diffs the full `decisions`,
+`reductions` and `brackets` runs against their files.  The test suite
+diffs `cli` against its file in full (`test_cli_digest`), finds the d3
+and stream lines of shorter runs in the decision and reduction files
+(`test_digest_lines_are_recorded`) and checks that the counts of each
+of the other three files add up (`test_recorded_*_digest_adds_up`).  A
+change that alters those answers on purpose records them anew.
 """
 
 from __future__ import annotations
@@ -129,13 +130,45 @@ def decisions(args) -> None:
         print(f"{reason} {reasons[reason]}")
 
 
+PATH_PAIRS = 50
+
+
+def path_pair_files() -> dict[str, str]:
+    """The files of the seeded `bracket` and `su-check` pairs: f{k} and
+    g{k} in x, y, z, G{k} in u, v; g{k} is c*f{k}^2 + f{k} if k % 5 == 3,
+    the constant (k % 3)/7 if k % 5 == 4, else drawn like f{k}."""
+    from fractions import Fraction
+    from tamedeg import Polynomial
+    from tamedeg.parsing import format_polynomial
+
+    rng = random.Random(BRACKET_SEED)
+
+    def polynomial(arity, terms):
+        return Polynomial(arity, {tuple(rng.randint(0, 3) for _ in range(arity)):
+                                  Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 30))
+                                  for _ in range(terms)})
+
+    polys = {}
+    for k in range(PATH_PAIRS):
+        f = polynomial(3, rng.randint(1, 4))
+        g = (Fraction(rng.randint(1, 9), rng.randint(1, 9)) * f * f + f if k % 5 == 3
+             else Polynomial.constant(Fraction(k % 3, 7), 3) if k % 5 == 4 else polynomial(3, rng.randint(1, 4)))
+        polys |= {f"f{k}": f, f"g{k}": g, f"G{k}": polynomial(2, rng.randint(1, 3))}
+    return {name: format_polynomial(p, tuple("uv" if name[0] == "G" else "xyz")) + "\n" for name, p in polys.items()}
+
+
 def corpus(example_files, reduce_files) -> list[list[str]]:
+    from tamedeg.decision import sorted_triples
+
     calls = []
-    for d3 in range(1, 13):
-        for d2 in range(1, d3 + 1):
-            for d1 in range(1, d2 + 1):
-                for extra in ([], ["--witness"], ["--json"], ["--witness", "--json"]):
-                    calls.append(["decide", str(d1), str(d2), str(d3), *extra])
+    for d1, d2, d3 in sorted_triples(20):
+        forms = ([], ["--witness"], ["--json"]) if d3 <= 12 else ()
+        for extra in (*forms, ["--witness", "--json"]):
+            calls.append(["decide", str(d1), str(d2), str(d3), *extra])
+    # large d3, where the certificate raises one-term shifts to high powers
+    large = [(d1, d2, d3) for d1 in range(3, 13) for d2 in range(d1 + 1, 31) for d3 in (100, 331, 600)]
+    large += [(3, 5, 2000), (3, 5, 10**12), (7, 11, 10**9), (1, 4, 10**6), (10, 23, 25)]
+    calls += [["decide", *map(str, triple), "--witness", "--json"] for triple in large]
     calls += [["decide", "25", "10", "23"], ["decide", "0", "5", "7"], ["decide", "3", "5"]]
     calls += [["scan", "--max", "10"], ["scan", "--max", "10", "--format", "json"]]
 
@@ -152,6 +185,9 @@ def corpus(example_files, reduce_files) -> list[list[str]]:
     # and a missing argument) and domain (a missing file) errors
     calls += [["bracket", "bad.poly", "f1.txt", "--file"], ["bracket", example_files["f2.txt"].strip(), "y"],
               ["bracket", "f1.txt", "--file"], ["bracket", "missing.txt", "f1.txt", "--file"]]
+    for k in range(PATH_PAIRS):
+        calls += [["bracket", f"f{k}", f"g{k}", "--file", "--json"],
+                  ["su-check", f"f{k}", f"g{k}", f"G{k}", "--file", "--json"]]
 
     calls += [["reduce", name] for name in sorted(reduce_files)]
     calls += [["reduce", "map.txt"], ["reduce", "map.txt", "--target", "2", "--cap", "50"],
@@ -178,12 +214,11 @@ def cli(args) -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to this width
     example_files = workloads.example_inputs(1).files
     reduce_files = workloads.reduce_inputs(1).files
-    digests = {}
-    counts = Counter()
-    total = hashlib.sha256()
+    digests, counts, total = {}, Counter(), hashlib.sha256()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        for name, text in {**example_files, **reduce_files, G_FILE: "v^2 - u\n", **WORD_FILES, **BAD_FILES}.items():
+        files = {**example_files, **reduce_files, G_FILE: "v^2 - u\n", **WORD_FILES, **BAD_FILES, **path_pair_files()}
+        for name, text in files.items():
             Path(work, name).write_text(text, encoding="utf-8")
         os.chdir(work)
         try:
@@ -290,9 +325,7 @@ def brackets(args) -> None:
     from tamedeg import algebraically_dependent, format_bracket, poisson_bracket
     from tamedeg.parsing import default_names
 
-    digests = {}
-    counts = Counter()
-    total = hashlib.sha256()
+    digests, counts, total = {}, Counter(), hashlib.sha256()
     for n, f, g in bracket_pairs():
         dependent = algebraically_dependent(f, g)
         record = f"{format_bracket(poisson_bracket(f, g), default_names(n))} {dependent}\n".encode()
