@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,9 +14,10 @@ from pathlib import Path
 import pytest
 
 from tamedeg import Polynomial, compose_word, decide, parse_map_file, parse_word_file, scan, scan_rows
-from tamedeg import cli, reduction
+from tamedeg import cli, format_bracket, poisson_bracket, reduction, su_bound
 from tamedeg.cli import main
-from tamedeg.parsing import format_map_file, format_polynomial, format_word_file
+from tamedeg.decision import sorted_triples
+from tamedeg.parsing import format_map_file, format_polynomial, format_word_file, parse_polynomial
 from tamedeg.automorphisms import build_example_map, example_word
 from tamedeg.verify import BRACKET_XY, BRACKET_XZ, BRACKET_YZ
 
@@ -609,6 +612,72 @@ class TestVerifyExample:
             "9/12 checks passed",
         ]
         assert sum(1 for line in out.splitlines() if line.startswith("PASS ")) == 9
+
+
+def digest_tool():
+    """tools/digest.py as a module, for the call sets of its `cli` corpus."""
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDigest:
+    # Call sets of the `cli` digest corpus, checked call by call against
+    # the library; tools/expected/cli_digest.txt pins their bytes.
+
+    @staticmethod
+    def check_decide_json(capsys, triples):
+        # `decide --json --witness` gives decide()'s answer, and its word,
+        # read back, composes to the triple; past d3 = 2000, where that is
+        # slow or the exponents pass the word file's bound, the word is
+        # compared with the library's
+        for triple in triples:
+            code, out, err = run(capsys, "decide", *map(str, triple), "--json", "--witness")
+            assert (code, err, out.count("\n")) == (0, "", 1)
+            payload, d = json.loads(out), decide(triple)
+            assert payload["triple"] == list(d.triple) == sorted(triple)
+            assert [payload[k] for k in ("verdict", "reason", "failed_hypotheses", "representation")] == [
+                d.verdict, d.reason, list(d.failed_hypotheses), d.representation and list(d.representation)]
+            if d.witness is None:
+                assert payload["witness"] is payload["witness_len"] is None
+            elif d.triple[2] <= 2000:
+                steps, _ = parse_word_file(payload["witness"])
+                assert (len(steps), compose_word(steps).mdeg()) == (payload["witness_len"], d.triple)
+            else:
+                assert payload["witness"] == format_word_file(d.witness, ("x", "y", "z"))
+
+    def test_decision_digest_to_20(self, capsys):
+        self.check_decide_json(capsys, sorted_triples(20))
+
+    def test_decision_digest_large_d3(self, capsys):
+        assert len(digest_tool().LARGE_D3) == 680
+        self.check_decide_json(capsys, digest_tool().LARGE_D3)
+
+    def test_bracket_path_digests(self, capsys, tmp_path, monkeypatch):
+        # `bracket` and `su-check --file --json` on the 50 seeded pairs: g =
+        # c*f^2 + f or a constant (k % 5 == 3, 4) gives the zero bracket and
+        # no weakened pair, and each of the 21 weakened pairs meets the bound
+        tool = digest_tool()
+        files = tool.path_pair_files()
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        weak = 0
+        for k in range(tool.PATH_PAIRS):
+            f, g, G = (parse_polynomial(files[f"{n}{k}"].strip(), "uv" if n == "G" else "xyz") for n in "fgG")
+            code, out, err = run(capsys, "bracket", f"f{k}", f"g{k}", "--file", "--json")
+            assert (code, err, json.loads(out)["bracket"]) == (0, "", format_bracket(poisson_bracket(f, g), "xyz"))
+            assert json.loads(out)["bracket"] == "0" or k % 5 < 3
+            code, out, err = run(capsys, "su-check", f"f{k}", f"g{k}", f"G{k}", "--file", "--json")
+            if code == 0:
+                report = su_bound(f, g, G)
+                assert json.loads(out) == {**dataclasses.asdict(report), "lhs_degree": report.lhs_degree}
+                assert report.holds and k % 5 < 3
+                weak += 1
+            else:
+                assert (code, out) == (1, "") and err.startswith("error: not a weakened pair: ")
+        assert weak == 21
 
 
 class TestDigestTool:

@@ -69,7 +69,10 @@ wraps one usage line differently).  CI diffs the full `decisions`,
 diffs `cli` against its file in full (`test_cli_digest`), finds the d3
 and stream lines of shorter runs in the decision and reduction files
 (`test_digest_lines_are_recorded`) and checks that the counts of each
-of the other three files add up (`test_recorded_*_digest_adds_up`).  A
+of the other three files add up (`test_recorded_*_digest_adds_up`).
+`tests/test_cli.py::TestDigest` reruns the large `decide`, `bracket` and
+`su-check` call sets (`LARGE_D3`, `path_pair_files`) and checks each
+answer against the library, with no hash of its own.  A
 change that alters those answers on purpose records them anew.
 """
 
@@ -130,6 +133,9 @@ def decisions(args) -> None:
         print(f"{reason} {reasons[reason]}")
 
 
+# Large d3, where the certificate raises one-term shifts to high powers.
+LARGE_D3 = [(d1, d2, d3) for d1 in range(3, 13) for d2 in range(d1 + 1, 31) for d3 in (100, 331, 600)]
+LARGE_D3 += [(3, 5, 2000), (3, 5, 10**12), (7, 11, 10**9), (1, 4, 10**6), (10, 23, 25)]
 PATH_PAIRS = 50
 
 
@@ -165,10 +171,7 @@ def corpus(example_files, reduce_files) -> list[list[str]]:
         forms = ([], ["--witness"], ["--json"]) if d3 <= 12 else ()
         for extra in (*forms, ["--witness", "--json"]):
             calls.append(["decide", str(d1), str(d2), str(d3), *extra])
-    # large d3, where the certificate raises one-term shifts to high powers
-    large = [(d1, d2, d3) for d1 in range(3, 13) for d2 in range(d1 + 1, 31) for d3 in (100, 331, 600)]
-    large += [(3, 5, 2000), (3, 5, 10**12), (7, 11, 10**9), (1, 4, 10**6), (10, 23, 25)]
-    calls += [["decide", *map(str, triple), "--witness", "--json"] for triple in large]
+    calls += [["decide", *map(str, triple), "--witness", "--json"] for triple in LARGE_D3]
     calls += [["decide", "25", "10", "23"], ["decide", "0", "5", "7"], ["decide", "3", "5"]]
     calls += [["scan", "--max", "10"], ["scan", "--max", "10", "--format", "json"]]
 
