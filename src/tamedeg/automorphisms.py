@@ -11,6 +11,7 @@ step_k o ... o step_1.  `parsing` reads and writes words as word files.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +19,8 @@ from itertools import combinations, permutations
 from operator import mul
 from typing import Sequence, Union
 
-from .poisson import poisson_bracket
-from .polynomials import Monomial, Polynomial, _coerce, _derivative, _product, variables
+from . import poisson
+from .polynomials import Monomial, Polynomial, _coerce, _derivative, _power, _product, variables
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,19 @@ class PolyMap:
         """Componentwise total degrees."""
         return tuple(c.degree() for c in self.components)
 
+    @functools.cached_property
+    def _brackets(self) -> dict[tuple[int, int], poisson.BracketValue]:
+        """The brackets [f_p, f_q] computed so far on this map, by (p, q)."""
+        return {}
+
+    def bracket(self, p: int, q: int) -> poisson.BracketValue:
+        """[f_p, f_q], computed once per map: `jacobian_det` reads its
+        minors off it and `verify.verify_example` its claims, so one
+        verification of the example map brackets [f1, f3] once."""
+        if (p, q) not in self._brackets:
+            self._brackets[p, q] = poisson.poisson_bracket(self.components[p], self.components[q])
+        return self._brackets[p, q]
+
     def jacobian(self) -> list[list[Polynomial]]:
         n = self.arity
         return [[self.components[i].derivative(j) for j in range(n)] for i in range(n)]
@@ -133,8 +147,10 @@ class PolyMap:
         grad f_r . [f_p, f_q], the bracket read as a cross product, up
         to the sign of (p, q, r).  The bracket costs one step per pair
         of terms of f_p and f_q, and its coefficients multiply the other
-        rows, so p and q are the two components with the fewest terms:
-        for the example map f1 and f3, whose bracket has degree 8.
+        rows, so p < q are the two components with the fewest terms:
+        for the example map f1 and f3, whose bracket has degree 8.  The
+        bracket comes from `bracket(p, q)`, so it is the one that
+        `verify_example` reads for its claims.
         The sum runs over ints: each bracket coefficient is cleared and
         brought to one common denominator, each other row f_r = F_r/d_r
         is cleared once, and the integer cofactors times the gradients
@@ -144,9 +160,8 @@ class PolyMap:
         n = self.arity
         if n == 1:
             return self.components[0].derivative(0)
-        p, q = sorted(range(n), key=lambda k: len(self.components[k]))[:2]
-        minors = {pair: coefficient.cleared()
-                  for pair, coefficient in poisson_bracket(self.components[p], self.components[q]).items()}
+        p, q = sorted(sorted(range(n), key=lambda k: len(self.components[k]))[:2])
+        minors = {pair: coefficient.cleared() for pair, coefficient in self.bracket(p, q).items()}
         common = math.lcm(*(d for _, d in minors.values()))
         minors = {pair: {m: c * (common // d) for m, c in terms.items()} for pair, (terms, d) in minors.items()}
         rest = [r for r in range(n) if r not in (p, q)]
@@ -299,24 +314,48 @@ def witness_linear_first(d2: int, d3: int) -> list[TameStep]:
 # ---- the explicit counterexample map ----
 
 
+def _integer_sum(*scaled: tuple[int, dict[Monomial, int]]) -> dict[Monomial, int]:
+    """The sum of c * terms over the (c, terms) pairs of int term
+    mappings, zero sums dropped."""
+    out: dict[Monomial, int] = {}
+    for c, terms in scaled:
+        for m, v in terms.items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
 def build_example_map() -> PolyMap:
     """The fully expanded map (f1, f2, h) of multidegree (10, 23, 25).
 
-    With g = z + 3x^2*y + 3x*y^3 + y^5:
+    With g = z + 3x^2*y + 3x*y^3 + y^5 and w = x + y^2:
 
-        f1 = x + y^2 - g^2
-        h  = y - 6(x + y^2)^2 g + 8(x + y^2) g^3 - (16/5) g^5
+        f1 = w - g^2
+        h  = y - 6w^2 g + 8w g^3 - (16/5) g^5
         f2 = (256/25) f1^5 + g + h^2
 
     The middle component relies on exact cancellation of every term of
     degree 24 through 50 between (256/25) f1^5 and h^2.
+
+    The formulas are evaluated over int term mappings, through `_product`
+    and `_power` (squares by the symmetric rule): g, w and f1 are
+    integral, and h and f2 are built as their numerators
+
+        5h    = 5y - 30w^2 g + 40w g^3 - 16g^5
+        25 f2 = 256 f1^5 + 25g + (5h)^2
+
+    Each component is divided by its denominator (1, 25 and 5) once, into
+    Fraction coefficients.
     """
-    x, y, z = variables(3)
-    g = z + 3 * x ** 2 * y + 3 * x * y ** 3 + y ** 5
-    f1 = x + y ** 2 - g ** 2
-    h = y - 6 * (x + y ** 2) ** 2 * g + 8 * (x + y ** 2) * g ** 3 - Fraction(16, 5) * g ** 5
-    f2 = Fraction(256, 25) * f1 ** 5 + g + h ** 2
-    return PolyMap((f1, f2, h))
+    g = {(0, 0, 1): 1, (2, 1, 0): 3, (1, 3, 0): 3, (0, 5, 0): 1}
+    w = {(1, 0, 0): 1, (0, 2, 0): 1}
+    g2 = _product(g, g)
+    g3 = _product(g2, g)
+    f1 = _integer_sum((1, w), (-1, g2))
+    h5 = _integer_sum((5, {(0, 1, 0): 1}), (-30, _product(_product(w, w), g)), (40, _product(w, g3)),
+                      (-16, _product(g3, g2)))
+    f2_25 = _integer_sum((256, _power(f1, 5, {(0, 0, 0): 1}, _product)), (25, g), (1, _product(h5, h5)))
+    return PolyMap(tuple(Polynomial._from_clean(3, {m: Fraction(v, d) for m, v in terms.items()})
+                         for terms, d in ((f1, 1), (f2_25, 25), (h5, 5))))
 
 
 def example_word() -> list[TameStep]:

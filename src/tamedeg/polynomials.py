@@ -17,18 +17,19 @@ variable a bit field wide enough that adding two keys adds the
 monomials, and a top field that holds the total degree.  `_product`
 multiplies tuple-keyed mappings: Polynomials over Fractions, the term
 products of `compose`, many-term powers and the integer products of
-`PolyMap.jacobian_det`.  One-term operands take an O(terms) path: a
-product with a one-term factor shifts the other factor's exponents and
-scales its coefficients, and a one-term power scales the exponent tuple
-and powers the coefficient, so x^s * y^t or z^d costs no repeated
-squaring.  A many-term power clears its denominators once, squares the
-integer numerators through `_product` and divides by d^k once at the
-end; `_power` starts from the first factor it needs, so no power is
-ever multiplied by 1.  Otherwise `_product` packs each input term once
-(a square, p*p with p the same mapping, packs it once), multiplies
-through `_packed_product` and unpacks each output term once.  A square
-takes each unordered pair of terms once, c_a^2 at 2a and 2 c_a c_b at
-a + b, about half the term pairs of the general loop.
+`PolyMap.jacobian_det` and `automorphisms.build_example_map`.  One-term
+operands take an O(terms) path: a product with a one-term factor shifts
+the other factor's exponents and scales its coefficients, and a
+one-term power scales the exponent tuple and powers the coefficient, so
+x^s * y^t or z^d costs no repeated squaring.  A many-term power clears
+its denominators once, squares the integer numerators through `_product`
+and divides by d^k once at the end; `_power` starts from the first
+factor it needs, so no power is ever multiplied by 1.  Otherwise
+`_product` packs each input term once (a square, p*p with p the same
+mapping, packs it once), multiplies through `_packed_product` and
+unpacks each output term once.  A square takes each unordered pair of
+terms once, c_a^2 at 2a and 2 c_a c_b at a + b, about half the term
+pairs of the general loop.
 `reduction` packs its system once per search and calls
 `_packed_product` itself, and `poisson.poisson_bracket` multiplies
 through it under a `_packing` layout, each coefficient carrying its

@@ -6,7 +6,9 @@ coefficients of [f1, f3], the bracket degree sitting strictly below
 both component degrees (the counterexample inequality), algebraic
 independence of the pair next to dependence of its leading forms, the
 constant Jacobian determinant, and the recovery of the defining
-equation of f2 by the reduction solver.
+equation of f2 by the reduction solver.  The map keeps the bracket
+[f1, f3] it computes (`PolyMap.bracket`), and on the example map
+`PolyMap.jacobian_det` reads its cofactors off that same bracket.
 """
 
 from __future__ import annotations
@@ -75,13 +77,16 @@ def _constant(det: Polynomial) -> tuple[bool, str]:
 def verify_example(pmap: PolyMap | None = None) -> ExampleReport:
     """Recompute and check every stated fact; pass a tampered map to
     watch the checks fail.  A map without three components raises
-    ValueError before any claim runs."""
+    ValueError before any claim runs.  The bracket claims read
+    `pmap.bracket(0, 2)`; when f1 and f3 have the fewest terms, as on
+    the example map, `jacobian_det` brackets the same pair, so the
+    `jacobian-constant` claim reads that one bracket too."""
     if pmap is None:
         pmap = build_example_map()
     if pmap.arity != 3:
         raise ValueError(f"verify_example needs a map with 3 components, got {pmap.arity}")
     f1, f2, f3 = pmap.components
-    bracket = poisson.poisson_bracket(f1, f3)
+    bracket = pmap.bracket(0, 2)
     # g's u^5 term cancels at composed degree lcm(deg f1, deg f3), above
     # the search's default cap 2 * deg f2 (see reduction.py).  The cap
     # comes from the claimed degrees, so a tampered map is searched alike.

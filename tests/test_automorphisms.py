@@ -347,7 +347,24 @@ class TestLeadingFormCertificate:
             automorphisms._checked(word, (5, 5, 8))
 
 
+def reference_example_map() -> PolyMap:
+    """build_example_map's formulas evaluated in Fraction Polynomial arithmetic."""
+    g = z + 3 * x ** 2 * y + 3 * x * y ** 3 + y ** 5
+    f1 = x + y ** 2 - g ** 2
+    h = y - 6 * (x + y ** 2) ** 2 * g + 8 * (x + y ** 2) * g ** 3 - Fraction(16, 5) * g ** 5
+    f2 = Fraction(256, 25) * f1 ** 5 + g + h ** 2
+    return PolyMap((f1, f2, h))
+
+
 class TestExampleMap:
+    def test_integer_build_matches_fraction_arithmetic(self):
+        # the numerators f1, 25 f2 and 5h are built over ints and divided
+        # once; the Fraction arithmetic of the same formulas agrees
+        built = build_example_map()
+        assert built == reference_example_map()
+        assert all(type(c) is Fraction for component in built.components for c in component.terms().values())
+        assert [component.cleared()[1] for component in built.components] == [1, 25, 5]
+
     def test_multidegree(self, example_map):
         assert example_map.mdeg() == (10, 23, 25)
 

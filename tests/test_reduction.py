@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -28,6 +29,8 @@ from tamedeg import (
     variables,
 )
 from tamedeg.parsing import format_polynomial
+
+ROOT = Path(__file__).resolve().parent.parent
 
 x, y, z = variables(3)
 u, v = variables(2)
@@ -84,31 +87,6 @@ def no_valid_drop_below(pmap: PolyMap, target: int, cap: int, level: int) -> boo
     return rank_all == rank_all_b and rank_all == rank_lv
 
 
-F_MONOMIALS = list(product(range(3), repeat=3))
-G_MONOMIALS = list(product(range(3), repeat=2))[1:]  # not (0, 0)
-
-
-def fractional_map(rng: random.Random) -> PolyMap:
-    """(g(F_j, F_k) + c, F_j, F_k) in shuffled order, pairwise distinct
-    and nonconstant.  F_j and F_k have 1-3 terms with exponents <= 2, g
-    has 1-3 terms, and each coefficient and c is a fraction whose
-    denominator shares factors with others ({2, 3, 4, 6, 9}) or is
-    coprime to them ({5, 7})."""
-    def fraction():
-        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((2, 3, 4, 5, 6, 7, 9)))
-
-    def terms(monomials):
-        return {e: fraction() for e in rng.sample(monomials, rng.randint(1, 3))}
-
-    while True:
-        fj, fk = Polynomial(3, terms(F_MONOMIALS)), Polynomial(3, terms(F_MONOMIALS))
-        g = Polynomial(2, terms(G_MONOMIALS))
-        components = [g.compose([fj, fk]) + fraction(), fj, fk]
-        rng.shuffle(components)
-        if all(c.degree() > 0 for c in components) and len(set(components)) == 3:
-            return PolyMap(tuple(components))
-
-
 class TestGoldenCases:
     def test_square_shift(self):
         result = find_elementary_reduction(PolyMap((x, y + x**2, z)), 1)
@@ -158,24 +136,20 @@ class TestGoldenCases:
 
     def test_fallback_members_on_seeded_fractional_maps(self):
         # the target g(F_j, F_k) + c first solves to the residual c, so
-        # the kernel-direction fallback picks the member returned; the
-        # pins hold the solver's answers on all three targets when the
-        # test was added, and shifting h instead of g by 1 there changes
-        # 246 of the 900 answers
-        rng = random.Random(25)
-        digest = hashlib.sha256()
-        found = 0
-        for index in range(300):
-            pmap = fractional_map(rng)
-            for target in range(3):
-                result = find_elementary_reduction(pmap, target)
-                answer = "None" if result is None else " | ".join(
-                    (format_polynomial(result.g, ("u", "v")), format_polynomial(result.residual, ("x", "y", "z")),
-                     str(result.residual_degree)))
-                found += result is not None
-                digest.update(f"{index} {target} {answer}\n".encode())
-        assert (digest.hexdigest(), found, 900 - found) == (
-            "684c903e652eb429228408922f1bb38b7f3bb91a075c503e3b0dc27cb9cf083d", 327, 573)
+        # the kernel-direction fallback picks the member returned;
+        # tools/digest.py fractional hashes the solver's answers on all
+        # three targets of 300 seeded maps, and its recorded line holds
+        # them as they were when the test was added (shifting h instead
+        # of g by 1 there changes 246 of the 900 answers)
+        done = subprocess.run([sys.executable, "tools/digest.py", "fractional"], cwd=ROOT, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        recorded = (ROOT / "tools" / "expected" / "fractional_digest.txt").read_text(encoding="utf-8").splitlines()
+        assert done.stdout.splitlines() == recorded
+        # one line, "seed 25 maps 300 sha256 <hex> found <n> none <m>",
+        # whose answers cover the three targets of every map
+        ((*_, found, _, none),) = map(str.split, recorded)
+        assert int(found) + int(none) == 900
 
     def test_identity_map(self):
         assert find_any_reduction(PolyMap.identity(3)) is None

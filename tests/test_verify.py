@@ -3,9 +3,13 @@ its reduction checks fail when the search does."""
 
 from __future__ import annotations
 
+import contextlib
+import sys
+from unittest import mock
+
 import pytest
 
-from tamedeg import PolyMap, reduction, variables, verify_example
+from tamedeg import PolyMap, build_example_map, poisson, reduction, variables, verify_example
 
 x, _, z = variables(3)
 
@@ -39,6 +43,22 @@ def test_failing_search_is_reported_as_an_error(example_map, monkeypatch):
     failed = report.failures()
     assert [c.name for c in failed] == list(REDUCTION_CHECKS)
     assert all(c.passed is False and c.computed == "error: no search" for c in failed)
+
+
+def test_one_verification_brackets_f1_f3_once():
+    # the bracket claims and the jacobian-constant claim read one
+    # [f1, f3]; every module name bound to poisson_bracket counts.  A
+    # fresh map, since a map keeps the brackets computed on it.
+    counting = mock.Mock(wraps=poisson.poisson_bracket)
+    names = [module for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "tamedeg" and getattr(module, "poisson_bracket", None) is poisson.poisson_bracket]
+    pmap = build_example_map()
+    with contextlib.ExitStack() as stack:
+        for module in names:
+            stack.enter_context(mock.patch.object(module, "poisson_bracket", counting))
+        report = verify_example(pmap)
+    assert report.passed
+    assert counting.call_args_list == [mock.call(pmap.components[0], pmap.components[2])]
 
 
 @pytest.mark.parametrize("n", [2, 4])

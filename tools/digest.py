@@ -4,6 +4,7 @@
     python3 tools/digest.py cli
     python3 tools/digest.py reductions --streams 1-30 --budgets default,0,3
     python3 tools/digest.py reductions --streams 1-4 --targets 2 --src ../other/src
+    python3 tools/digest.py fractional
     python3 tools/digest.py brackets
 
 `decisions` runs `decision.scan(N)` (`--max N`, default 40: every
@@ -48,6 +49,14 @@ residual_degree)`, or `None`, in a fixed order.  Stdout has one line
 per budget and stream with the sha256 and the counts of found and None
 answers, and one total line per budget.
 
+`fractional` calls `find_elementary_reduction` at the default cap on
+every target of 300 maps (g(F_j, F_k) + c, F_j, F_k) with fractional
+coefficients drawn from one seed (`fractional_map`), where the target
+g(F_j, F_k) + c first solves to the residual c and the kernel-direction
+fallback picks the member returned.  It hashes the answers as
+`reductions` does and prints one line with the sha256 and the counts of
+found and None answers.
+
 `brackets` computes `poisson_bracket` and `algebraically_dependent` on
 a fixed corpus of 400 pairs drawn from one seed (`bracket_pairs`) and
 hashes each bracket's text (`format_bracket`) with the dependence
@@ -62,18 +71,21 @@ worker processes.  `--src` chooses the `tamedeg` source tree to import
 
 `tools/expected/` holds the stdout of `decisions --max 40`
 (`decision_digest.txt`), `reductions --streams 1-30 --budgets
-default,0,3` (`reduction_digest.txt`), `brackets` (`bracket_digest.txt`)
-and `cli` under CPython 3.11 (`cli_digest.txt`; from 3.13 on, argparse
-wraps one usage line differently).  CI diffs the full `decisions`,
-`reductions` and `brackets` runs against their files.  The test suite
-diffs `cli` against its file in full (`test_cli_digest`), finds the d3
-and stream lines of shorter runs in the decision and reduction files
-(`test_digest_lines_are_recorded`) and checks that the counts of each
-of the other three files add up (`test_recorded_*_digest_adds_up`).
-`tests/test_cli.py::TestDigest` reruns the large `decide`, `bracket` and
-`su-check` call sets (`LARGE_D3`, `path_pair_files`) and checks each
-answer against the library, with no hash of its own.  A
-change that alters those answers on purpose records them anew.
+default,0,3` (`reduction_digest.txt`), `brackets` (`bracket_digest.txt`),
+`fractional` (`fractional_digest.txt`) and `cli` under CPython 3.11
+(`cli_digest.txt`; from 3.13 on, argparse wraps one usage line
+differently).  CI diffs the full `decisions`, `reductions`, `fractional`
+and `brackets` runs against their files.  The test suite diffs `cli`
+(`test_cli_digest`) and `fractional`
+(`test_fallback_members_on_seeded_fractional_maps`) against their files
+in full, finds the d3 and stream lines of shorter runs in the decision
+and reduction files (`test_digest_lines_are_recorded`) and checks that
+the counts of each of the other three files add up
+(`test_recorded_*_digest_adds_up`).  `tests/test_cli.py::TestDigest`
+reruns the large `decide`, `bracket` and `su-check` call sets
+(`LARGE_D3`, `path_pair_files`) and checks each answer against the
+library, with no hash of its own.  A change that alters those answers
+on purpose records them anew.
 """
 
 from __future__ import annotations
@@ -273,6 +285,56 @@ def reductions(args) -> None:
               f"found {totals['found']} none {totals['none']}", flush=True)
 
 
+FRACTIONAL_SEED = 25
+FRACTIONAL_MAPS = 300
+F_MONOMIALS = list(itertools.product(range(3), repeat=3))
+G_MONOMIALS = list(itertools.product(range(3), repeat=2))[1:]  # not (0, 0)
+
+
+def fractional_map(rng: random.Random):
+    """(g(F_j, F_k) + c, F_j, F_k) in shuffled order, pairwise distinct
+    and nonconstant.  F_j and F_k have 1-3 terms with exponents <= 2, g
+    has 1-3 terms, and each coefficient and c is a fraction whose
+    denominator shares factors with others ({2, 3, 4, 6, 9}) or is
+    coprime to them ({5, 7})."""
+    from fractions import Fraction
+    from tamedeg import PolyMap, Polynomial
+
+    def fraction():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((2, 3, 4, 5, 6, 7, 9)))
+
+    def terms(monomials):
+        return {e: fraction() for e in rng.sample(monomials, rng.randint(1, 3))}
+
+    while True:
+        fj, fk = Polynomial(3, terms(F_MONOMIALS)), Polynomial(3, terms(F_MONOMIALS))
+        g = Polynomial(2, terms(G_MONOMIALS))
+        components = [g.compose([fj, fk]) + fraction(), fj, fk]
+        rng.shuffle(components)
+        if all(c.degree() > 0 for c in components) and len(set(components)) == 3:
+            return PolyMap(tuple(components))
+
+
+def fractional(args) -> None:
+    """Hash the reduction search's answers on seeded maps with fractional coefficients."""
+    from tamedeg import find_elementary_reduction
+    from tamedeg.parsing import format_polynomial
+
+    rng = random.Random(FRACTIONAL_SEED)
+    digest, counts = hashlib.sha256(), Counter()
+    for index in range(FRACTIONAL_MAPS):
+        pmap = fractional_map(rng)
+        for target in range(3):
+            result = find_elementary_reduction(pmap, target)
+            counts["none" if result is None else "found"] += 1
+            answer = "None" if result is None else " | ".join(
+                (format_polynomial(result.g, ("u", "v")), format_polynomial(result.residual, ("x", "y", "z")),
+                 str(result.residual_degree)))
+            digest.update(f"{index} {target} {answer}\n".encode())
+    print(f"seed {FRACTIONAL_SEED} maps {FRACTIONAL_MAPS} sha256 {digest.hexdigest()} "
+          f"found {counts['found']} none {counts['none']}")
+
+
 BRACKET_SEED = 2012
 BRACKET_PAIRS = 400
 
@@ -360,7 +422,7 @@ def parse_args(argv):
     src.add_argument("--src", type=Path, default=ROOT / "src", help="tamedeg source tree to import")
     commands = parser.add_subparsers(dest="command", required=True)
     sub = {}
-    for run in (decisions, cli, reductions, brackets):
+    for run in (decisions, cli, reductions, fractional, brackets):
         sub[run.__name__] = commands.add_parser(run.__name__, parents=[src], help=run.__doc__)
         sub[run.__name__].set_defaults(run=run)
     sub["decisions"].add_argument("--max", type=int, default=40, help="largest d3 (default 40)")
