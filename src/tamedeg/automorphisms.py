@@ -20,7 +20,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from . import poisson
-from .polynomials import Monomial, Polynomial, _coerce, _derivative, _power, _product, variables
+from .polynomials import Monomial, Polynomial, _coerce, _compose, _derivative, _power, _product, variables
 
 
 @dataclass(frozen=True)
@@ -230,23 +230,38 @@ def _leading_mdeg(steps: Sequence[TameStep]) -> tuple[int, ...] | None:
     """The multidegree of compose_word(steps) from leading forms alone,
     or None when a top form cancels and only full composition can tell.
 
-    Each step's own apply is folded over one homogeneous leading form
-    per component.  With F = LF + lower terms, a*F_i + s(F) is a*LF_i +
-    s(LF) plus terms below max(deg LF_i, w), w the top degree of s with
-    each variable weighted by its form's degree (Shestakov-Umirbaev):
-    when the new component reaches that degree, its leading form is the new LF_i.
+    The fold keeps one homogeneous leading form LF_j, a term mapping, and
+    its degree per component.  With F = LF + lower terms, a*F_i + s(F)
+    is a*LF_i + s(LF) plus terms below reach = max(deg LF_i, w), w the
+    top degree of s with each variable weighted by its form's degree
+    (Shestakov-Umirbaev).  A monomial of s of weighted degree below
+    reach composes to terms below reach, so the part of degree reach is
+    s_top(LF), composed from the monomials of weighted degree reach
+    alone (`_compose`), plus a*LF_i when deg LF_i = reach.  When that
+    part is nonzero it is the new LF_i, of degree reach; when it cancels
+    the fold returns None.  A permutation step permutes the forms.
     """
-    forms = variables(step_arity(steps[0]) if steps else 3)
+    arity = step_arity(steps[0]) if steps else 3
+    forms = [v._terms for v in variables(arity)]
+    degrees = [1] * arity
     for step in steps:
-        weights = [f.degree() for f in forms]
-        forms = step.apply(forms)
-        if isinstance(step, ElementaryStep):
-            reach = max([weights[step.index]] + [sum(map(mul, m, weights)) for m in step.shift.terms()])
-            value = forms[step.index]
-            if value.degree() < reach:
-                return None
-            forms = forms[: step.index] + (value.leading_form(),) + forms[step.index + 1:]
-    return tuple(f.degree() for f in forms)
+        if not isinstance(step, ElementaryStep):
+            forms = [forms[k] for k in step.images]
+            degrees = [degrees[k] for k in step.images]
+            continue
+        i, shift = step.index, step.shift._terms
+        weighted = {m: sum(map(mul, m, degrees)) for m in shift}
+        reach = max([degrees[i], *weighted.values()])
+        form = _compose({m: c for m, c in shift.items() if weighted[m] == reach}, forms, arity)
+        if degrees[i] == reach:
+            for m, c in forms[i].items():
+                c *= step.scalar
+                form[m] = c if (old := form.get(m)) is None else old + c
+            form = {m: c for m, c in form.items() if c}
+        if not form:
+            return None
+        forms[i], degrees[i] = form, reach
+    return tuple(degrees)
 
 
 def _checked(steps: list[TameStep], expected_mdeg: tuple[int, ...]) -> list[TameStep]:

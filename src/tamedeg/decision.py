@@ -124,10 +124,12 @@ def decide(triple: Sequence[int]) -> Decision:
     answer through SemigroupMember or EqualFirstPair, and d1 = 1 and
     (10, 23, 25), carries a witness word already verified to have the
     right multidegree (automorphisms._checked).  The check reads the
-    multidegree off the leading forms of the steps.  For SemigroupMember
-    and d1 = 1 words every polynomial there has at most two terms and
-    every power has one, so the check takes a fixed number of term
-    operations (Polynomial's one-term paths), independent of d3.
+    multidegree off the leading forms of the steps, as term mappings:
+    each step composes only its shift's top-degree monomials with the
+    forms (polynomials._compose).  For SemigroupMember and d1 = 1 words
+    every form there has at most two terms and every power has one, so
+    the check takes a fixed number of term operations (the one-term
+    paths of _product and _term_power), independent of d3.
     Where a top form cancels at or above the degree of the component
     it replaces, as in every EqualFirstPair word and in the
     (10, 23, 25) word, it composes the word in full instead.

@@ -16,15 +16,21 @@ over packed exponent keys (Monagan and Pearce): `_layout` gives each
 variable a bit field wide enough that adding two keys adds the
 monomials, and a top field that holds the total degree.  `_product`
 multiplies tuple-keyed mappings: Polynomials over Fractions, the term
-products of `compose`, many-term powers and the integer products of
-`PolyMap.jacobian_det` and `automorphisms.build_example_map`.  One-term
-operands take an O(terms) path: a product with a one-term factor shifts
-the other factor's exponents and scales its coefficients, and a
-one-term power scales the exponent tuple and powers the coefficient, so
-x^s * y^t or z^d costs no repeated squaring.  A many-term power clears
-its denominators once, squares the integer numerators through `_product`
-and divides by d^k once at the end; `_power` starts from the first
-factor it needs, so no power is ever multiplied by 1.  Otherwise
+products of `_compose`, many-term powers and the integer products of
+`PolyMap.jacobian_det` and `automorphisms.build_example_map`.
+
+Powers and substitution work on term mappings too: `_term_power` is
+`Polynomial.__pow__` and `_compose` is `Polynomial.compose`, which only
+check their input, and `_compose` is also the one evaluator of
+`automorphisms._leading_mdeg`, which folds a word over leading forms
+kept as term mappings.  One-term operands take an O(terms) path: a
+product with a one-term factor shifts the other factor's exponents and
+scales its coefficients, and a one-term power scales the exponent tuple
+and powers the coefficient, so x^s * y^t or z^d costs no repeated
+squaring.  A many-term power clears its denominators once, squares the
+integer numerators through `_product` and divides by d^k once at the
+end; `_power` starts from the first factor it needs, so no power is
+ever multiplied by 1.  Otherwise
 `_product` packs each input term once (a square, p*p with p the same
 mapping, packs it once), multiplies through `_packed_product` and
 unpacks each output term once.  A square takes each unordered pair of
@@ -36,7 +42,7 @@ through it under a `_packing` layout, each coefficient carrying its
 term's exponents in bit slots, so that one product makes every minor
 of the bracket.
 
-Sums of many terms (the constructor, `_product`, `compose`) add into one
+Sums of many terms (the constructor, `_product`, `_compose`) add into one
 dict and drop the zero sums in one pass at the end.  The total degree
 is read off the terms by degree(), the only place that computes it,
 and cached there.
@@ -180,6 +186,62 @@ def _power(base: dict, exponent: int, one: dict, product: Callable[[dict, dict],
     return one if result is None else result
 
 
+def _cleared(terms: Mapping[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+    """(terms times d with integer coefficients, d) for the least common
+    denominator d of the coefficients (1 for no terms)."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+
+
+def _term_power(terms: Mapping[Monomial, Fraction], exponent: int, arity: int) -> dict[Monomial, Fraction]:
+    """terms ** exponent for a term mapping in `arity` variables with
+    nonzero Fraction coefficients; any power 0 is 1.
+
+    A one-term power scales the exponent tuple and powers the
+    coefficient.  Otherwise the denominators are cleared to their least
+    common multiple d, the integer numerators are raised by repeated
+    squaring (`_power`) and read back over d ** exponent once, since
+    (N/d)^k = N^k/d^k.
+    """
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        return {tuple(e * exponent for e in m): c ** exponent}
+    base, d = _cleared(terms)
+    result = _power(base, exponent, {(0,) * arity: 1}, _product)
+    d **= exponent
+    return {m: Fraction(n, d) for m, n in result.items()}
+
+
+def _compose(terms: Mapping[Monomial, Fraction], args: Sequence[Mapping[Monomial, Fraction]],
+             arity: int) -> dict[Monomial, Fraction]:
+    """The term mapping of terms(args[0], ..., args[-1]): args[i], a term
+    mapping in `arity` variables, substituted for variable i.  All
+    coefficients are nonzero Fractions; zero sums are dropped.
+
+    Each argument's powers are tabled at the exponents in use, each from
+    the previous one: one `_product` across a gap of 1, a `_term_power`
+    across a larger one.  Each term is then its coefficient times its
+    powers, and the terms add into one dict.
+    """
+    powers: list[dict[int, dict[Monomial, Fraction]]] = []
+    for i, a in enumerate(args):
+        table: dict[int, dict[Monomial, Fraction]] = {}
+        for previous, e in pairwise(sorted({0} | {m[i] for m in terms})):
+            step = a if e - previous == 1 else _term_power(a, e - previous, arity)
+            table[e] = _product(table[previous], step) if previous else step
+        powers.append(table)
+    one = (0,) * arity
+    out: dict[Monomial, Fraction] = {}
+    for m, c in terms.items():
+        prod = {one: c}
+        for i, e in enumerate(m):
+            if e:
+                prod = _product(prod, powers[i][e])
+        for mp, cp in prod.items():
+            out[mp] = cp if (old := out.get(mp)) is None else old + cp
+    return {m: c for m, c in out.items() if c}
+
+
 def graded_key(monomial: Monomial) -> tuple:
     """Sort key of the canonical term order (graded lex), largest first.
 
@@ -291,8 +353,7 @@ class Polynomial:
     def cleared(self) -> tuple[dict[Monomial, int], int]:
         """(terms of d*self with integer coefficients, d) for the least
         common denominator d of the coefficients (1 for zero)."""
-        d = math.lcm(*(c.denominator for c in self._terms.values()))
-        return {m: c.numerator * (d // c.denominator) for m, c in self._terms.items()}, d
+        return _cleared(self._terms)
 
     def degree(self) -> int | float:
         """Total degree; NEG_INFINITY for the zero polynomial."""
@@ -363,22 +424,11 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
-        """self ** exponent for an int exponent >= 0; any power 0 is 1.
-
-        A one-term power scales the exponent tuple and powers the
-        coefficient.  Otherwise the numerators of `cleared()` are raised
-        by repeated squaring over ints and read back over d ** exponent
-        once, since (N/d)^k = N^k/d^k.
-        """
+        """self ** exponent for an int exponent >= 0; any power 0 is 1
+        (`_term_power`)."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        if len(self._terms) == 1:
-            ((m, c),) = self._terms.items()
-            return Polynomial._from_clean(self._arity, {tuple(e * exponent for e in m): c ** exponent})
-        base, d = self.cleared()
-        result = _power(base, exponent, {(0,) * self._arity: 1}, _product)
-        d **= exponent
-        return Polynomial._from_clean(self._arity, {m: Fraction(n, d) for m, n in result.items()})
+        return Polynomial._from_clean(self._arity, _term_power(self._terms, exponent, self._arity))
 
     # ---- calculus and substitution ----
 
@@ -398,25 +448,7 @@ class Polynomial:
         for a in args:
             if a.arity != target_arity:
                 raise ValueError(f"arity mismatch among substitution arguments: {a.arity} vs {target_arity}")
-        # Powers at the exponents in use, each from the previous one: one
-        # product across a gap of 1, repeated squaring across a larger one.
-        powers: list[dict[int, Polynomial]] = []
-        for i, a in enumerate(args):
-            table: dict[int, Polynomial] = {}
-            for previous, e in pairwise(sorted({0} | {m[i] for m in self._terms})):
-                step = a if e - previous == 1 else a ** (e - previous)
-                table[e] = table[previous] * step if previous else step
-            powers.append(table)
-        one = (0,) * target_arity
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            prod = {one: c}
-            for i, e in enumerate(m):
-                if e:
-                    prod = _product(prod, powers[i][e]._terms)
-            for mp, cp in prod.items():
-                out[mp] = cp if (old := out.get(mp)) is None else old + cp
-        return Polynomial._from_clean(target_arity, {m: c for m, c in out.items() if c})
+        return Polynomial._from_clean(target_arity, _compose(self._terms, [a._terms for a in args], target_arity))
 
     # ---- comparison ----
 

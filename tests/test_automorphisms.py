@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from tamedeg import (
     automorphisms,
     build_example_map,
     compose_word,
+    decide,
     example_word,
     format_word_file,
     invert_word,
@@ -30,6 +32,7 @@ from tamedeg import (
     witness_linear_first,
     witness_semigroup,
 )
+from tamedeg.decision import sorted_triples
 from tamedeg.parsing import ParseError
 
 x, y, z = variables(3)
@@ -318,6 +321,33 @@ class TestWitnesses:
                         assert compose_word(word).mdeg() == (d1, d2, s * d1 + t * d2)
 
 
+def reference_leading_mdeg(steps) -> tuple[int, ...] | None:
+    """_leading_mdeg's certificate in Polynomial arithmetic: each step's
+    apply folded over the leading forms, the new component's leading
+    form kept when its degree reaches max(deg LF_i, weighted deg s)."""
+    forms = variables(steps[0].arity if steps else 3)
+    for step in steps:
+        weights = [f.degree() for f in forms]
+        forms = step.apply(forms)
+        if isinstance(step, ElementaryStep):
+            reach = max([weights[step.index]] + [sum(map(mul, m, weights)) for m in step.shift.terms()])
+            value = forms[step.index]
+            if value.degree() < reach:
+                return None
+            forms = forms[: step.index] + (value.leading_form(),) + forms[step.index + 1:]
+    return tuple(f.degree() for f in forms)
+
+
+# tools/digest.py's LARGE_D3: d3 up to 10^12, where the certificate
+# raises one-term forms to high powers.
+LARGE_D3 = [(d1, d2, d3) for d1 in range(3, 13) for d2 in range(d1 + 1, 31) for d3 in (100, 331, 600)]
+LARGE_D3 += [(3, 5, 2000), (3, 5, 10**12), (7, 11, 10**9), (1, 4, 10**6), (10, 23, 25)]
+
+# F_0 = x + z^2 and F_1 = y + x + z^2 lead with z^2; then a*F_0 - F_1
+# leads with (a - 1) z^2
+EQUAL_DEGREE_WORD = [ElementaryStep(0, Fraction(1), z**2), ElementaryStep(1, Fraction(1), x)]
+
+
 class TestLeadingFormCertificate:
     @settings(max_examples=150, deadline=None)
     @given(word=tame_words(), certified=st.none())
@@ -328,11 +358,26 @@ class TestLeadingFormCertificate:
     # the shift's top part cancels below the component's own degree 5
     @example(word=[ElementaryStep(0, Fraction(1), z**5), ElementaryStep(1, Fraction(1), z**2),
                    ElementaryStep(0, Fraction(1), y - z**2)], certified=True)
+    # equal degrees: 1 z^2 - z^2 cancels, and the composed mdeg is (1, 2, 1)
+    @example(word=EQUAL_DEGREE_WORD + [ElementaryStep(0, Fraction(1), -y)], certified=False)
+    # equal degrees: 3 z^2 - z^2 = 2 z^2 is certified, mdeg (2, 2, 1)
+    @example(word=EQUAL_DEGREE_WORD + [ElementaryStep(0, Fraction(3), -y)], certified=True)
     def test_certificate_is_empty_or_exact(self, word, certified):
         got = automorphisms._leading_mdeg(word)
+        assert got == reference_leading_mdeg(word)
         assert got is None or got == compose_word(word).mdeg()
         if certified is not None:
             assert (got is not None) == certified
+
+    @pytest.mark.parametrize(("triples", "witnesses"), [(list(sorted_triples(20)), 804), (LARGE_D3, 529)],
+                             ids=["d3-to-20", "large-d3"])
+    def test_decide_witnesses_match_reference(self, triples, witnesses):
+        # every witness decide builds, the EqualFirstPair and (10, 23, 25)
+        # words included, where both folds answer None
+        words = [d.witness for d in map(decide, triples) if d.witness is not None]
+        assert len(words) == witnesses
+        for word in words:
+            assert automorphisms._leading_mdeg(word) == reference_leading_mdeg(word)
 
     def test_checked_rejects_wrong_mdeg_when_certified(self):
         word = witness_semigroup(3, 5, (2, 1))

@@ -26,6 +26,10 @@ from tamedeg.decision import KNOWN_INSTANCES, sorted_triples
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# psi_12 = 318665857834031151167461, the least strong pseudoprime to
+# every prime base up to 37
+PSI12 = 399165290221 * 798330580441
+
 
 def assert_witness_realizes(decision):
     assert decision.witness is not None
@@ -206,16 +210,45 @@ class TestExclusionOracle:
         assert reasons == {"Theorem3Exclusion", "Theorem4Exclusion", "HypothesesFail"}
 
 
+class TestOpenCase:
+    def test_theorem1_open_case_count(self):
+        # Theorem 1's open case, d2 prime and d1/gcd(d1, d3) = 2, among
+        # the Unknown triples with d3 <= 40; d1 = d2 is always Tame, so
+        # only d1 < d2 with d2 prime can hold it
+        triples = [(d1, d2, d3) for d1, d2, d3 in sorted_triples(40) if d1 < d2 and sympy.isprime(d2)]
+        ratio = "Theorem3Exclusion needs d1/gcd(d1, d3) != 2"
+        from_reasons = [t for t in triples if (d := decide(t)).verdict == "Unknown"
+                        and any(text.startswith(ratio) for text in d.failed_hypotheses)]
+        from_arithmetic = [(d1, d2, d3) for d1, d2, d3 in triples
+                           if d1 >= 3 and d1 == 2 * math.gcd(d1, d3)
+                           and not any((d3 - t * d2) % d1 == 0 for t in range(d3 // d2 + 1))
+                           and (d1, d2, d3) not in KNOWN_INSTANCES]
+        assert from_reasons == from_arithmetic
+        assert len(from_reasons) == 115
+        assert from_reasons[:6] == [(4, 5, 6), (6, 7, 9), (4, 7, 10), (8, 11, 12), (4, 11, 14), (4, 13, 14)]
+
+
 class TestPrimality:
     def test_matches_sympy(self):
         ours = [n for n in range(1, 20_001) if decision._is_prime(n)]
         assert ours == [n for n in range(1, 20_001) if sympy.isprime(n)]
 
-    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, PSI12])
     def test_strong_pseudoprimes_are_composite(self, n, time_limit):
-        # strong pseudoprimes to the prime bases up to 7 and up to 23
+        # strong pseudoprimes to the prime bases up to 7, up to 23 and,
+        # psi_12, up to 37: only base 41 finds psi_12 composite
         with time_limit(5):
             assert not decision._is_prime(n)
+
+    def test_psi12_second_degree_is_not_excluded(self, time_limit):
+        # a prime d2 here would make Theorem 3 answer NotTame
+        with time_limit(5):
+            d = decide((10, PSI12, PSI12 + 1))
+        assert (d.verdict, d.reason) == ("Unknown", "HypothesesFail")
+        assert d.failed_hypotheses == (
+            f"Theorem3Exclusion needs a prime d2; {PSI12} is composite",
+            f"Theorem4Exclusion needs a prime d3; {PSI12 + 1} is composite",
+        )
 
     def test_exact_up_to_the_bound(self):
         bound = decision._PRIME_BOUND
