@@ -56,9 +56,12 @@ the power itself.
 
 The rows go in one degree level at a time, from the top down, and each
 consistent level's solutions form a particular solution plus a kernel.
-One generator, `candidates()` in find_elementary_reduction, yields the
-candidate solutions of every level in the order that breaks ties, and
-the first one that passes the degree check is the answer.
+Each level has one answer: its reduced-echelon particular solution,
+the unique solution that is zero on every free column, with the
+columns in the fixed support order.  One generator, `candidates()` in
+find_elementary_reduction, yields that solution of every level, each
+followed by its shifts along the kernel directions, and the first one
+that passes the degree check is the answer.
 """
 
 from __future__ import annotations
@@ -66,18 +69,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
 
 from . import poisson
 from .polynomials import Monomial, Polynomial, _layout, _packed_product, _power
 from .automorphisms import PolyMap
-
-# Upper bound on the support probes of one search, over all levels
-# (`candidates()` says what comes past it).  The kernel's columns number
-# a handful on word-generated maps; the bound only matters for hostile
-# maps such as (x, x^2, ...) whose kernels touch many columns.
-SUBSET_BUDGET = 200_000
 
 # Upper bound on the support monomials, the columns of the linear
 # system.  Only dependent leading forms keep a cap above deg F_target,
@@ -183,25 +180,6 @@ def _solve_reduced(rows: list[Row], pivots: dict[int, int], ncols: int) -> tuple
     return particular, kernel
 
 
-def _solve_vanishing(rows: list[Row], pivots: dict[int, int], vanish: list[int], ncols: int) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """The solutions of the echelon system that vanish on the columns
-    `vanish`: its particular solution and kernel basis as _solve_reduced
-    gives them, or None when there are none.
-
-    Adds a unit row {i: 1} per column to a copy of the system and solves
-    once; neither `rows` nor `pivots` changes.  The representative
-    settles support questions on its own, but a family can mix valid
-    residual degrees with degrees below 1, and the caller's degree check
-    may reject the representative while a shifted member passes; the
-    kernel vectors are its fallback directions.
-    """
-    rows, pivots = list(rows), dict(pivots)
-    for i in vanish:
-        if not _echelon_add(rows, pivots, {i: 1}, ncols):
-            return None
-    return _solve_reduced(rows, pivots, ncols)
-
-
 def _verify(g: Polynomial, residual: Polynomial, *cleared: tuple[dict[Monomial, int], int]) -> None:
     """Raise AssertionError unless F_target - g(F_j, F_k) == residual and
     the residual's degree lies below F_target's.
@@ -260,13 +238,13 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     """The best capped elementary reduction at `target` (0-based), or None.
 
     Among all g supported on the capped monomial set that strictly drop
-    the degree, one minimizing the residual degree is returned, with
-    ties broken by fewest support monomials and then by the first
-    solvable support subset in a fixed monomial enumeration (ascending
-    graded order, v-heavy first); `candidates()` yields them in that
-    order.  Past SUBSET_BUDGET probes the result is still a
-    minimal-degree reduction, but the fewest-support tie-break is not
-    guaranteed.
+    the degree, one minimizing the residual degree is returned.  The
+    support monomials are in a fixed order (ascending graded order,
+    v-heavy first), and among the g of that residual degree the answer
+    is the level's reduced-echelon particular solution, the unique one
+    that is zero on every free column; when its residual is constant,
+    the first of its shifts along the kernel directions whose residual
+    is not (`candidates()`).
 
     The cap defaults to 2 * deg F_target and may not lie below
     deg F_target.  When the leading forms of the two other components
@@ -392,46 +370,23 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         Levels come from the most constrained up: a valid residual of
         degree d solves the system through level d + 1, so the first
         level holding a valid candidate realizes the minimal residual
-        degree.  Within a level, columns that no kernel vector touches
-        keep their particular value in every solution; a support that
-        drops a nonzero one is never solvable, and one that adds a zero
-        one solves like the smaller support.  So the supports are the
-        subsets of the kernel's columns in (size, lex) order, each probed
-        by one _solve_vanishing, and the whole family, last, ends the
-        level.  Past SUBSET_BUDGET probes, counted once over all levels,
-        each level probes only its whole family.
-
-        A solvable support yields its representative, then the member
-        shifted along each kernel direction.  Only a residual of degree
-        < 1 rejects a candidate; its low-degree coefficients are affine
-        in the support's freedom and vanish at the representative, so
-        the shifts hold a valid member whenever the support has one.  A
-        shift moves g, not h, by 1 at the direction's free column, its
-        last nonzero entry in reduced row echelon form, where h_st is
-        g_st * tau / (a^s b^t).
+        degree.  Each level yields its particular solution, then that
+        solution shifted along each kernel direction.  Only a residual
+        of degree < 1 rejects a candidate.  The residual's coefficients
+        of degree >= 1 are linear in the kernel coordinates when they
+        all vanish at the particular solution, so one of them moves
+        along some direction whenever the level has a valid member, and
+        that direction's shift is valid.  A shift moves g, not h, by 1
+        at the direction's free column, its last nonzero entry in
+        reduced row echelon form, where h_st is g_st * tau / (a^s b^t).
         """
-        probes = 0
         for end in reversed(kept):
-            level_rows, level_pivots = rows[:end], {c: i for c, i in pivots.items() if i < end}
-            # Back-substituting in place leaves level_rows an echelon
-            # system of the same level, so the probes start from it.
-            _, kernel = _solve_reduced(level_rows, level_pivots, ncols)
-            free = [c for c in range(ncols) if any(vec[c] for vec in kernel)]
-            for keep in chain.from_iterable(combinations(free, size) for size in range(len(free) + 1)):
-                if probes >= SUBSET_BUDGET:
-                    keep = free
-                probes += 1
-                probe = _solve_vanishing(level_rows, level_pivots, [c for c in free if c not in keep], ncols)
-                if probe is None:
-                    continue
-                solution, directions = probe
-                yield solution
-                for direction in directions:
-                    s, t = support[max(c for c, d in enumerate(direction) if d)]
-                    unit = Fraction(tau, a**s * b**t)
-                    yield [c + unit * d for c, d in zip(solution, direction)]
-                if len(keep) == len(free):
-                    break
+            solution, directions = _solve_reduced(rows[:end], {c: i for c, i in pivots.items() if i < end}, ncols)
+            yield solution
+            for direction in directions:
+                s, t = support[max(c for c, d in enumerate(direction) if d)]
+                unit = Fraction(tau, a**s * b**t)
+                yield [c + unit * d for c, d in zip(solution, direction)]
 
     return next(filter(None, map(build_result, candidates())), None)
 

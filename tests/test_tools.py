@@ -70,22 +70,21 @@ def test_code_lines_of_fixture(tmp_path):
     # every target at the default cap on the benchmark's first two map
     # streams, which take each branch of the candidate stream: stream 1
     # map007.txt backs off a level at target indices 0 and 1, and stream
-    # 1 map139.txt (index 0) and stream 2 map119.txt (index 2) move past
-    # a support whose members are all rejected, then win with a kernel
-    # shift
+    # 1 map139.txt (index 0) and stream 2 map119.txt (index 2) reject a
+    # particular solution, then win with a kernel shift
     (["reductions", "--streams", "1-2"], "reduction_digest.txt", 2),
-    # with SUBSET_BUDGET 0 every level jumps straight to the whole
-    # family, a path the first two streams at the default budget never
-    # take; stream 14 takes it 137 times over a nonempty kernel
-    (["reductions", "--streams", "14", "--budgets", "0"], "reduction_digest.txt", 1),
-], ids=["decisions-max-20", "reductions-streams-1-2", "reductions-stream-14-budget-0"])
+    # stream 14 has 137 answers from a level with a nonempty kernel, and
+    # at map076.txt (index 2) the particular solution is not the
+    # sparsest g of its level
+    (["reductions", "--streams", "14"], "reduction_digest.txt", 1),
+], ids=["decisions-max-20", "reductions-streams-1-2", "reductions-stream-14"])
 def test_digest_lines_are_recorded(argv, file, count):
     # each d3 or stream line of a short tools/digest.py run is a line of
     # the file that CI diffs the full run against
     done = subprocess.run([sys.executable, "tools/digest.py", *argv], cwd=ROOT, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    printed = [line for line in done.stdout.splitlines() if line.startswith("d3 ") or " stream " in line]
+    printed = [line for line in done.stdout.splitlines() if line.startswith(("d3 ", "stream "))]
     assert len(printed) == count
     lines = set(recorded(file))
     assert [line for line in printed if line not in lines] == []
@@ -113,16 +112,13 @@ def test_recorded_decision_digest_adds_up():
 
 
 def test_recorded_reduction_digest_adds_up():
-    # under each budget, stream lines 1-30 in order, each with 160 maps
-    # x 3 targets = 480 answers, then a total line that adds them up
-    lines = [line.split() for line in recorded("reduction_digest.txt")]
-    assert len(lines) == 3 * 31
-    for budget, i in zip(("default", "0", "3"), range(0, 93, 31)):
-        *streams, total = lines[i:i + 31]
-        assert [words[:4] for words in streams] == [["budget", budget, "stream", str(s)] for s in range(1, 31)]
-        assert [sum(counts(words).values()) for words in streams] == [480] * 30, f"budget {budget}"
-        assert total[:3] == ["budget", budget, "total"]
-        assert counts(total) == {key: sum(counts(words)[key] for words in streams) for key in ("found", "none")}
+    # stream lines 1-30 in order, each with 160 maps x 3 targets = 480
+    # answers, then a total line that adds them up
+    *streams, total = [line.split() for line in recorded("reduction_digest.txt")]
+    assert [words[:2] for words in streams] == [["stream", str(s)] for s in range(1, 31)]
+    assert [sum(counts(words).values()) for words in streams] == [480] * 30
+    assert total[0] == "total"
+    assert counts(total) == {key: sum(counts(words)[key] for words in streams) for key in ("found", "none")}
 
 
 def test_recorded_bracket_digest_adds_up():

@@ -2,7 +2,7 @@
 
     python3 tools/digest.py decisions --max 40
     python3 tools/digest.py cli
-    python3 tools/digest.py reductions --streams 1-30 --budgets default,0,3
+    python3 tools/digest.py reductions --streams 1-30
     python3 tools/digest.py reductions --streams 1-4 --targets 2 --src ../other/src
     python3 tools/digest.py fractional
     python3 tools/digest.py brackets
@@ -43,11 +43,9 @@ calls, then one total line.
 `reductions` calls `find_elementary_reduction` at the default cap on
 each map of every `MAP_SEED` stream of `bench/workloads.reduce_inputs`
 (`--streams`, 160 map files each, seed 1), for every target index
-(`--targets`) and every `SUBSET_BUDGET` value (`--budgets`, `default`
-for the library's own), and hashes the answers `(g, residual,
-residual_degree)`, or `None`, in a fixed order.  Stdout has one line
-per budget and stream with the sha256 and the counts of found and None
-answers, and one total line per budget.
+(`--targets`), and hashes the answers `(g, residual, residual_degree)`,
+or `None`, in a fixed order.  Stdout has one line per stream with the
+sha256 and the counts of found and None answers, then one total line.
 
 `fractional` calls `find_elementary_reduction` at the default cap on
 every target of 300 maps (g(F_j, F_k) + c, F_j, F_k) with fractional
@@ -70,8 +68,8 @@ worker processes.  `--src` chooses the `tamedeg` source tree to import
 (default: this repository's `src/`).  Nothing under `bench/` is written.
 
 `tools/expected/` holds the stdout of `decisions --max 40`
-(`decision_digest.txt`), `reductions --streams 1-30 --budgets
-default,0,3` (`reduction_digest.txt`), `brackets` (`bracket_digest.txt`),
+(`decision_digest.txt`), `reductions --streams 1-30`
+(`reduction_digest.txt`), `brackets` (`bracket_digest.txt`),
 `fractional` (`fractional_digest.txt`) and `cli` under CPython 3.11
 (`cli_digest.txt`; from 3.13 on, argparse wraps one usage line
 differently).  CI diffs the full `decisions`, `reductions`, `fractional`
@@ -255,34 +253,28 @@ def cli(args) -> None:
 def reductions(args) -> None:
     """Hash the reduction search's answers on the benchmark's map streams."""
     import workloads
-    from tamedeg import PolyMap, find_elementary_reduction, parse_map_file, reduction
+    from tamedeg import PolyMap, find_elementary_reduction, parse_map_file
     from tamedeg.parsing import format_polynomial
 
-    default_budget = reduction.SUBSET_BUDGET
-    for budget in args.budgets:
-        reduction.SUBSET_BUDGET = default_budget if budget is None else budget
-        label = "default" if budget is None else budget
-        total, totals = hashlib.sha256(), Counter()
-        for stream in args.streams:
-            workloads.MAP_SEED = stream
-            files = workloads.reduce_inputs(1).files
-            digest, counts = hashlib.sha256(), Counter()
-            for name in sorted(files):
-                polys, names = parse_map_file(files[name])
-                pmap = PolyMap(tuple(polys))
-                for target in args.targets:
-                    result = find_elementary_reduction(pmap, target)
-                    counts["none" if result is None else "found"] += 1
-                    answer = "None" if result is None else " | ".join(
-                        (format_polynomial(result.g, ("u", "v")), format_polynomial(result.residual, names),
-                         str(result.residual_degree)))
-                    digest.update(f"{name} {target} {answer}\n".encode())
-            print(f"budget {label} stream {stream} sha256 {digest.hexdigest()} "
-                  f"found {counts['found']} none {counts['none']}", flush=True)
-            total.update(digest.digest())
-            totals += counts
-        print(f"budget {label} total sha256 {total.hexdigest()} "
-              f"found {totals['found']} none {totals['none']}", flush=True)
+    total, totals = hashlib.sha256(), Counter()
+    for stream in args.streams:
+        workloads.MAP_SEED = stream
+        files = workloads.reduce_inputs(1).files
+        digest, counts = hashlib.sha256(), Counter()
+        for name in sorted(files):
+            polys, names = parse_map_file(files[name])
+            pmap = PolyMap(tuple(polys))
+            for target in args.targets:
+                result = find_elementary_reduction(pmap, target)
+                counts["none" if result is None else "found"] += 1
+                answer = "None" if result is None else " | ".join(
+                    (format_polynomial(result.g, ("u", "v")), format_polynomial(result.residual, names),
+                     str(result.residual_degree)))
+                digest.update(f"{name} {target} {answer}\n".encode())
+        print(f"stream {stream} sha256 {digest.hexdigest()} found {counts['found']} none {counts['none']}", flush=True)
+        total.update(digest.digest())
+        totals += counts
+    print(f"total sha256 {total.hexdigest()} found {totals['found']} none {totals['none']}", flush=True)
 
 
 FRACTIONAL_SEED = 25
@@ -411,11 +403,6 @@ def int_list(text: str) -> list[int]:
     return out
 
 
-def budget_list(text: str) -> list[int | None]:
-    """'default,0,3' -> [None, 0, 3]; None keeps the library's value."""
-    return [None if part == "default" else int(part) for part in text.split(",")]
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     src = argparse.ArgumentParser(add_help=False)
@@ -430,8 +417,6 @@ def parse_args(argv):
                                    help="MAP_SEED values, e.g. 1-30 or 1,4,9")
     sub["reductions"].add_argument("--targets", type=int_list, default=[0, 1, 2],
                                    help="0-based target indices (default 0,1,2)")
-    sub["reductions"].add_argument("--budgets", type=budget_list, default=[None],
-                                   help="SUBSET_BUDGET values, 'default' for the library's own")
     return parser.parse_args(argv)
 
 
