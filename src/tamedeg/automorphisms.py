@@ -44,7 +44,7 @@ class ElementaryStep:
         n = self.shift.arity
         if not 0 <= self.index < n:
             raise ValueError(f"component index {self.index} out of range for arity {n}")
-        if any(m[self.index] for m in self.shift.terms()):
+        if any(m[self.index] for m in self.shift._terms):
             raise ValueError(f"shift {self.shift} depends on variable {self.index}")
 
     @property
@@ -223,7 +223,11 @@ def mdeg(value: PolyMap | Sequence[TameStep]) -> tuple[int | float, ...]:
 #
 # Each recipe below is a short elementary word, checked by _checked
 # before it is returned: from leading forms where they decide it, else by
-# composing it in full, as every witness_equal_pair word needs.
+# composing it in full, as every witness_equal_pair word needs.  The
+# one-term shifts of witness_semigroup and witness_linear_first are built
+# as their single term, with no power or product.
+
+_ONE = Fraction(1)
 
 
 def _leading_mdeg(steps: Sequence[TameStep]) -> tuple[int, ...] | None:
@@ -287,11 +291,10 @@ def witness_semigroup(d1: int, d2: int, rep: tuple[int, int]) -> list[TameStep]:
     d3 = s * d1 + t * d2
     if d3 < d2:
         raise ValueError(f"third degree {d3} from {rep} falls below d2 = {d2}")
-    x, y, z = variables(3)
     steps = [
-        ElementaryStep(0, Fraction(1), z ** d1),
-        ElementaryStep(1, Fraction(1), z ** d2),
-        ElementaryStep(2, Fraction(1), x ** s * y ** t),
+        ElementaryStep(0, _ONE, Polynomial._from_clean(3, {(0, 0, d1): _ONE})),
+        ElementaryStep(1, _ONE, Polynomial._from_clean(3, {(0, 0, d2): _ONE})),
+        ElementaryStep(2, _ONE, Polynomial._from_clean(3, {(s, t, 0): _ONE})),
     ]
     return _checked(steps, (d1, d2, d3))
 
@@ -318,10 +321,9 @@ def witness_linear_first(d2: int, d3: int) -> list[TameStep]:
     """A word of multidegree (1, d2, d3): (x, y + x^d2, z + x^d3)."""
     if not 1 <= d2 <= d3:
         raise ValueError(f"need 1 <= d2 <= d3, got ({d2}, {d3})")
-    x, _, _ = variables(3)
     steps = [
-        ElementaryStep(1, Fraction(1), x ** d2),
-        ElementaryStep(2, Fraction(1), x ** d3),
+        ElementaryStep(1, _ONE, Polynomial._from_clean(3, {(d2, 0, 0): _ONE})),
+        ElementaryStep(2, _ONE, Polynomial._from_clean(3, {(d3, 0, 0): _ONE})),
     ]
     return _checked(steps, (1, d2, d3))
 

@@ -127,9 +127,10 @@ def decide(triple: Sequence[int]) -> Decision:
     multidegree off the leading forms of the steps, as term mappings:
     each step composes only its shift's top-degree monomials with the
     forms (polynomials._compose).  For SemigroupMember and d1 = 1 words
-    every form there has at most two terms and every power has one, so
-    the check takes a fixed number of term operations (the one-term
-    paths of _product and _term_power), independent of d3.
+    every shift and every form substituted into it has one term, which
+    _compose applies directly, scaling exponents and powering
+    coefficients, with no power table, _product or _term_power; so the
+    check takes a fixed number of term operations, independent of d3.
     Where a top form cancels at or above the degree of the component
     it replaces, as in every EqualFirstPair word and in the
     (10, 23, 25) word, it composes the word in full instead.

@@ -396,7 +396,7 @@ def parse_word_file(text: str) -> tuple[list[TameStep], tuple[str, ...]]:
             if scalar == 0:
                 raise _error("elementary steps need a nonzero scalar", line, lineno, fields[2].start())
             shift = parse_polynomial(line, names, lineno, fields[3].start())
-            if any(m[index - 1] for m in shift.terms()):
+            if any(m[index - 1] for m in shift._terms):
                 raise _error(f"the shift depends on its own variable {names[index - 1]}", line, lineno, fields[3].start())
             steps.append(ElementaryStep(index - 1, scalar, shift))
         elif kind == "perm":

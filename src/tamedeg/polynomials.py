@@ -16,8 +16,9 @@ over packed exponent keys (Monagan and Pearce): `_layout` gives each
 variable a bit field wide enough that adding two keys adds the
 monomials, and a top field that holds the total degree.  `_product`
 multiplies tuple-keyed mappings: Polynomials over Fractions, the term
-products of `_compose`, many-term powers and the integer products of
-`PolyMap.jacobian_det` and `automorphisms.build_example_map`.
+products of `_compose` with its many-term arguments, many-term powers
+and the integer products of `PolyMap.jacobian_det` and
+`automorphisms.build_example_map`.
 
 Powers and substitution work on term mappings too: `_term_power` is
 `Polynomial.__pow__` and `_compose` is `Polynomial.compose`, which only
@@ -27,10 +28,15 @@ kept as term mappings.  One-term operands take an O(terms) path: a
 product with a one-term factor shifts the other factor's exponents and
 scales its coefficients, and a one-term power scales the exponent tuple
 and powers the coefficient, so x^s * y^t or z^d costs no repeated
-squaring.  A many-term power clears its denominators once, squares the
-integer numerators through `_product` and divides by d^k once at the
-end; `_power` starts from the first factor it needs, so no power is
-ever multiplied by 1.  Otherwise
+squaring.  `_compose` applies a one-term argument c*x^a to each term
+directly, the exponent e of its variable adding e*a to the term's
+monomial and c^e (none when c is 1) to its coefficient, so it tables
+powers only of many-term arguments; a one-term shift of one-term
+forms, as every step of a semigroup or d1 = 1 witness is, costs no
+power and no product.  A many-term power clears its denominators
+once, squares the integer numerators through `_product` and divides by
+d^k once at the end; `_power` starts from the first factor it needs,
+so no power is ever multiplied by 1.  Otherwise
 `_product` packs each input term once (a square, p*p with p the same
 mapping, packs it once), multiplies through `_packed_product` and
 unpacks each output term once.  A square takes each unordered pair of
@@ -218,25 +224,43 @@ def _compose(terms: Mapping[Monomial, Fraction], args: Sequence[Mapping[Monomial
     mapping in `arity` variables, substituted for variable i.  All
     coefficients are nonzero Fractions; zero sums are dropped.
 
-    Each argument's powers are tabled at the exponents in use, each from
-    the previous one: one `_product` across a gap of 1, a `_term_power`
-    across a larger one.  Each term is then its coefficient times its
+    A one-term argument c*x^a is applied directly: a term with exponent
+    e in its variable takes the factor c^e, skipped when c is 1, and the
+    exponent shift e*a, with no power built.  Each many-term argument
+    (the zero argument included) has its powers tabled at the exponents
+    in use, each from the previous one: one `_product` across a gap of
+    1, a `_term_power` across a larger one.  Each term is then its
+    scaled coefficient at its shifted monomial times its many-term
     powers, and the terms add into one dict.
     """
-    powers: list[dict[int, dict[Monomial, Fraction]]] = []
+    singles: dict[int, tuple[Monomial, Fraction]] = {}
+    powers: dict[int, dict[int, dict[Monomial, Fraction]]] = {}
     for i, a in enumerate(args):
+        if len(a) == 1:
+            (singles[i],) = a.items()
+            continue
         table: dict[int, dict[Monomial, Fraction]] = {}
         for previous, e in pairwise(sorted({0} | {m[i] for m in terms})):
             step = a if e - previous == 1 else _term_power(a, e - previous, arity)
             table[e] = _product(table[previous], step) if previous else step
-        powers.append(table)
-    one = (0,) * arity
+        powers[i] = table
     out: dict[Monomial, Fraction] = {}
     for m, c in terms.items():
-        prod = {one: c}
+        key = (0,) * arity
+        factors = []
         for i, e in enumerate(m):
-            if e:
-                prod = _product(prod, powers[i][e])
+            if not e:
+                continue
+            if i in powers:
+                factors.append(powers[i][e])
+                continue
+            ma, ca = singles[i]
+            key = tuple([k + e * x for k, x in zip(key, ma)])
+            if ca != 1:
+                c *= ca ** e
+        prod = {key: c}
+        for power in factors:
+            prod = _product(prod, power)
         for mp, cp in prod.items():
             out[mp] = cp if (old := out.get(mp)) is None else old + cp
     return {m: c for m, c in out.items() if c}

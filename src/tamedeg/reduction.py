@@ -334,7 +334,9 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
     # first inconsistent one.  The system through level L <= deg_target
     # holds exactly the drops to residual degree below L, so an
     # inconsistent level rules out every drop below it.  _echelon_add
-    # only appends rows, so each kept system is a prefix of `rows`.
+    # only appends rows, so each kept system is a prefix of `rows`.  A
+    # level that adds no row keeps nothing: its system, and so its
+    # candidates, are those of the level kept above it.
     rows: list[Row] = []
     pivots: dict[int, int] = {}
     kept: list[int] = []
@@ -342,7 +344,7 @@ def find_elementary_reduction(pmap: PolyMap, target: int, support_degree_cap: in
         equations = by_degree.get(level, {})
         if not all(_echelon_add(rows, pivots, equations[m], ncols) for m in sorted(equations)):
             break
-        if level <= deg_target:
+        if level <= deg_target and kept[-1:] != [len(rows)]:
             kept.append(len(rows))
 
     def build_result(solution: list[Fraction]) -> ReductionResult | None:

@@ -27,6 +27,8 @@ from tamedeg import (
     invert_word,
     mdeg,
     parse_word_file,
+    polynomials,
+    semigroup,
     variables,
     witness_equal_pair,
     witness_linear_first,
@@ -378,6 +380,23 @@ class TestLeadingFormCertificate:
         assert len(words) == witnesses
         for word in words:
             assert automorphisms._leading_mdeg(word) == reference_leading_mdeg(word)
+
+    def test_one_term_words_take_no_product_or_power(self):
+        # every form and shift of these words has one term, so the
+        # certificate applies each directly, whatever d3 is; a call to
+        # _product or _term_power would mean a power table was built
+        d3 = 10**12
+        rep = semigroup.membership(d3, 7, 11)
+        with mock.patch.object(polynomials, "_product", wraps=polynomials._product) as product, \
+                mock.patch.object(polynomials, "_term_power", wraps=polynomials._term_power) as power:
+            semigroup_word = witness_semigroup(7, 11, rep)
+            linear_word = witness_linear_first(4, 10**9)
+            assert automorphisms._leading_mdeg(semigroup_word) == (7, 11, d3)
+            assert automorphisms._leading_mdeg(linear_word) == (1, 4, 10**9)
+        assert (product.call_count, power.call_count) == (0, 0)
+        s, t = rep
+        assert [step.shift for step in semigroup_word] == [z**7, z**11, x**s * y**t]
+        assert [step.shift for step in linear_word] == [x**4, x**10**9]
 
     def test_checked_rejects_wrong_mdeg_when_certified(self):
         word = witness_semigroup(3, 5, (2, 1))

@@ -375,6 +375,20 @@ any_polynomials = st.one_of(
     one_terms,
     polynomials,
 )
+# Substitution arguments: all one-term, all many-term (the zero
+# polynomial among them), mixed, or any polynomials (constants among
+# them).  One-term coefficients are 1, -1 or a drawn nonzero Fraction.
+# Many-term arguments keep to 2 or 3 terms of exponents up to 2, so that
+# three of them under a term of degree 12 stay a few thousand term pairs.
+unit_or_fraction = st.one_of(st.sampled_from([1, -1]), fractions.filter(bool))
+scaled_one_terms = st.builds(Polynomial.monomial, monomials, unit_or_fraction)
+many_terms = st.one_of(st.just(Polynomial.zero(3)), st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), fractions.filter(bool), min_size=2, max_size=3).map(
+    lambda d: Polynomial(3, d)))
+argument_lists = st.one_of(*(st.lists(kind, min_size=3, max_size=3) for kind in (
+    scaled_one_terms, many_terms, st.one_of(scaled_one_terms, many_terms), any_polynomials)))
+
+
 mixed_denominators = st.sampled_from([Fraction(16, 5), Fraction(1, 3), Fraction(-7, 12), Fraction(5, 8), -2, 1])
 mixed_denominator_polynomials = st.one_of(
     st.just(Polynomial.zero(3)),
@@ -452,9 +466,15 @@ class TestOneTermPaths:
                     default=NEG_INFINITY)
         assert composed.degree() == expected.degree() <= bound
 
-    @settings(max_examples=150, deadline=None)
-    @given(any_polynomials, st.lists(any_polynomials, min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    @given(any_polynomials, argument_lists)
+    # a one-term argument raised to 10^12 in a one-term shift, next to a
+    # many-term argument; the coefficient -1 keeps the reference's power small
+    @example(p=Fraction(2, 3) * x ** 10**12 * y, args=[-z**3, x + y, z])
+    @example(p=x ** 10**12 + Fraction(-5, 7) * x * z**2, args=[-y, Fraction(3, 2) * x, Polynomial.zero(3)])
     def test_compose_is_sum_of_term_products(self, p, args):
+        # _compose applies one-term arguments to each term directly and
+        # tables the powers of many-term ones, in one loop for any mix
         one = Polynomial.constant(1, 3)
         expected = sum((c * math.prod((a ** e for a, e in zip(args, m)), start=one)
                         for m, c in p.terms().items()), Polynomial.zero(3))

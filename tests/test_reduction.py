@@ -231,6 +231,16 @@ class TestSelection:
         # levels 2 to deg F_target = 6
         assert solve.call_count <= 5
 
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_level_without_new_rows_is_not_solved_again(self, target):
+        # map007.txt of reduce stream 1: the level below the first kept
+        # one adds no row, so both keep the same one-row system, which is
+        # solved once and its rejected candidates not yielded again
+        pmap = PolyMap((2 * x * y**2, 3 * x * y**2, x**2 * y**2 * z - x**2))
+        with mock.patch.object(reduction, "_solve_reduced", wraps=reduction._solve_reduced) as solve:
+            assert find_elementary_reduction(pmap, target) is None
+        assert solve.call_count == 1
+
     def test_targets_tried_from_last_to_first(self):
         found = find_any_reduction(PolyMap((x, y + x**2, z + x**2)))
         assert found is not None
