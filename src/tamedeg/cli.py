@@ -11,6 +11,12 @@ its text from the same values, and `_emit` prints the payload as one
 JSON line under --json (always, for `reduce` and `semigroup`, which have
 no text form), otherwise the text.
 
+A call that names a subcommand first is parsed once, by that
+subcommand's parser, and its usage errors come from that parser; the
+top-level parser reports only the strings it leaves over ("unrecognized
+arguments"), as argparse's nested parse does, and parses every other
+call itself: none, an option first or an unknown name.
+
 Polynomial arguments longer than 200 characters must come from
 polynomial files (pass paths and the --file flag).
 """
@@ -41,7 +47,7 @@ def _polynomial_argument(raw: str, names, from_file: bool) -> Polynomial:
     if from_file:
         return parsing.parse_polynomial_file(_read_text(raw), names, raw)
     if len(raw) > INLINE_LIMIT:
-        _parser().error(f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
+        _parsers()[0].error(f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
     return parsing.parse_polynomial(raw, names)
 
 
@@ -197,6 +203,11 @@ def _cmd_verify_example(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="tamedeg",
         description="Exact computations around multidegrees of tame automorphisms of 3-space.",
@@ -260,19 +271,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify_example)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Parsing leaves the parser unchanged, so one per process serves
-    # every call of main.
-    return build_parser()
+# Parsing leaves the parsers unchanged, so one set per process serves
+# every call of main.
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` once, with the parser of the subcommand it names.
+
+    The top-level parser's usage and error report any strings that
+    subcommand leaves over, as its nested parse would, and it parses
+    every other argv itself."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.handler(args)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code

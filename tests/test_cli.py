@@ -708,8 +708,11 @@ class TestProcess:
         (["decide", "3", "5", "7", "--json"], 0),
         (["decide", "0", "5", "7"], 1),
         (["frobnicate"], 2),
+        (["decide", "3", "5", "7", "8"], 2),
     ])
-    def test_module_run_matches_main(self, capsys, argv, code):
+    def test_module_run_matches_main(self, capsys, monkeypatch, argv, code):
+        # python -m runs main() on sys.argv; usage text wraps at 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
         done = subprocess.run([sys.executable, "-m", "tamedeg.cli", *argv], cwd=ROOT, capture_output=True, text=True,
                               timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
@@ -719,6 +722,10 @@ class TestProcess:
             json.loads(done.stdout)
         if code == 1:
             assert done.stderr == "error: degrees must be positive integers, got [0, 5, 7]\n"
+        if argv[0] == "decide" and code == 2:
+            # the leftover string is reported under the top-level usage
+            assert done.stderr.startswith("usage: tamedeg [-h]")
+            assert done.stderr.endswith("\ntamedeg: error: unrecognized arguments: 8\n")
 
 
 class TestUsage:
@@ -729,3 +736,28 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["frobnicate"], ["dec", "3", "5", "7"], ["decide", "-h"], ["decide", "3", "5", "7", "8"],
+        ["decide", "3", "5", "7", "--bogus"], ["decide", "--", "3", "5", "7"], ["decide", "-3", "5", "7"],
+        ["decide", "3", "5", "7", "--wit", "--js"], ["reduce", "m.txt", "--cap=50", "--target"], ["decide", "3", "5"],
+        ["--", "decide", "3", "5", "7"], ["decide", "3", "5", "7", "--json=1"], ["scan", "--max", "x"],
+        ["semigroup", "3", "5", "-7"], ["decide", "3", "5", "7", "-"], ["decide", "3", "5", "7", "--", "8"],
+        ["decide", "3", "5", "7", "--witness", "--json"], ["scan", "--max", "10", "--format", "json", "--out", "t.csv"],
+        ["bracket", "x", "y", "--vars", "x,y,z", "--json"], ["su-check", "--file", "f", "g", "G"],
+        ["reduce", "m.txt", "--target", "2", "--cap", "50"], ["semigroup", "3", "5", "7"], ["mdeg", "m.txt", "--json"],
+        ["compose", "w.word", "--json"], ["verify-example", "--json"],
+    ], ids=" ".join)
+    def test_dispatch_parses_as_the_full_parser(self, capsys, monkeypatch, argv):
+        # main parses with the named subcommand's parser alone; exit code,
+        # stdout, stderr and namespace are those of one full parse
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(parse):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert outcome(cli._parse) == outcome(cli.build_parser().parse_args)
