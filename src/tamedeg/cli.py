@@ -43,11 +43,20 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _polynomial_argument(raw: str, names, from_file: bool) -> Polynomial:
-    if from_file:
+def _variable_names(raw: str) -> tuple[str, ...]:
+    """The names of --vars; a fault in them is a usage error."""
+    try:
+        return parsing.split_names(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _polynomial_argument(args: argparse.Namespace, raw: str, names) -> Polynomial:
+    if args.file:
         return parsing.parse_polynomial_file(_read_text(raw), names, raw)
     if len(raw) > INLINE_LIMIT:
-        _parsers()[0].error(f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
+        _parsers()[1][args.command].error(
+            f"inline polynomial longer than {INLINE_LIMIT} characters; pass a file and --file")
     return parsing.parse_polynomial(raw, names)
 
 
@@ -117,21 +126,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_bracket(args: argparse.Namespace) -> int:
-    names = parsing.split_names(args.vars)
-    f = _polynomial_argument(args.f, names, args.file)
-    g = _polynomial_argument(args.g, names, args.file)
+    f = _polynomial_argument(args, args.f, args.vars)
+    g = _polynomial_argument(args, args.g, args.vars)
     bracket = poisson.poisson_bracket(f, g)
-    coefficients = parsing.format_coefficients(bracket, names)
+    coefficients = parsing.format_coefficients(bracket, args.vars)
     text = parsing.join_coefficients(coefficients)
     payload = {"bracket": text, "coefficients": coefficients, "degree": _finite(bracket.degree())}
     return _emit(args, payload, _text([text, f"degree: {bracket.degree()}"]))
 
 
 def _cmd_su_check(args: argparse.Namespace) -> int:
-    names = parsing.split_names(args.vars)
-    f = _polynomial_argument(args.f, names, args.file)
-    g = _polynomial_argument(args.g, names, args.file)
-    big_g = _polynomial_argument(args.G, ("u", "v"), args.file)
+    f = _polynomial_argument(args, args.f, args.vars)
+    g = _polynomial_argument(args, args.g, args.vars)
+    big_g = _polynomial_argument(args, args.G, ("u", "v"))
     report = poisson.su_bound(f, g, big_g)
     payload = {**dataclasses.asdict(report), "lhs_degree": _finite(report.lhs_degree)}
     return _emit(args, payload, _text(f"{key}: {value}" for key, value in payload.items()))
@@ -231,7 +238,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p = sub.add_parser("bracket", help="Poisson bracket of two polynomials")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--vars", default="x,y,z")
+    p.add_argument("--vars", type=_variable_names, default="x,y,z")
     p.add_argument("--file", action="store_true", help="treat f and g as file paths")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_bracket)
@@ -240,7 +247,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("G", help="bivariate polynomial in u (for f) and v (for g)")
-    p.add_argument("--vars", default="x,y,z")
+    p.add_argument("--vars", type=_variable_names, default="x,y,z")
     p.add_argument("--file", action="store_true", help="treat f, g and G as file paths")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_su_check)

@@ -70,11 +70,10 @@ worker processes.  `--src` chooses the `tamedeg` source tree to import
 `tools/expected/` holds the stdout of `decisions --max 40`
 (`decision_digest.txt`), `reductions --streams 1-30`
 (`reduction_digest.txt`), `brackets` (`bracket_digest.txt`),
-`fractional` (`fractional_digest.txt`) and `cli` under CPython 3.11
-(`cli_digest.txt`; from 3.13 on, argparse wraps one usage line
-differently).  CI diffs the full `decisions`, `reductions`, `fractional`
-and `brackets` runs against their files.  The test suite diffs `cli`
-(`test_cli_digest`) and `fractional`
+`fractional` (`fractional_digest.txt`) and `cli` (`cli_digest.txt`,
+the same on CPython 3.10 to 3.13).  CI diffs the full `decisions`,
+`reductions`, `fractional` and `brackets` runs against their files.
+The test suite diffs `cli` (`test_cli_digest`) and `fractional`
 (`test_fallback_members_on_seeded_fractional_maps`) against their files
 in full, finds the d3 and stream lines of shorter runs in the decision
 and reduction files (`test_digest_lines_are_recorded`) and checks that
