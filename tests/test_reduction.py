@@ -14,6 +14,8 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from tamedeg import (
     ElementaryStep,
@@ -52,17 +54,25 @@ def support_products(pmap: PolyMap, target: int, cap: int) -> list[Polynomial]:
     return out
 
 
-def system_ranks(products: list[Polynomial], f_target: Polynomial,
-                 min_degree: int) -> tuple[int, int]:
-    """(rank A, rank [A|b]) for the system 'all coefficients of total
+def system_rows(products: list[Polynomial], f_target: Polynomial, min_degree: int) -> list[list]:
+    """The rows of [A|b] for the system 'all coefficients of total
     degree >= min_degree in f_target - sum c_i * products[i] vanish'."""
     monomials = sorted(
         {m for p in products for m in p.terms() if sum(m) >= min_degree}
         | {m for m in f_target.terms() if sum(m) >= min_degree}
     )
-    a = sympy.Matrix([[sympy.Rational(p.coefficient(m)) for p in products] for m in monomials])
-    b = sympy.Matrix([[sympy.Rational(f_target.coefficient(m))] for m in monomials])
-    return a.rank(), a.row_join(b).rank()
+    return [[p.coefficient(m) for p in (*products, f_target)] for m in monomials]
+
+
+def system_ranks(products: list[Polynomial], f_target: Polynomial,
+                 min_degree: int) -> tuple[int, int]:
+    """(rank A, rank [A|b]) for that system, exactly, by sympy's
+    DomainMatrix over QQ: Matrix.rank over Rational takes minutes on
+    some drawn systems of a few hundred rows."""
+    rows = system_rows(products, f_target, min_degree)
+    ab = DomainMatrix([[QQ(c.numerator, c.denominator) for c in row] for row in rows],
+                      (len(rows), len(products) + 1), QQ)
+    return ab[:, :len(products)].rank(), ab.rank()
 
 
 def drop_is_achievable(pmap: PolyMap, target: int, cap: int, level: int) -> bool:
@@ -591,6 +601,27 @@ def denominator_word_maps(draw):
         return st.integers(-10**6, 10**6).filter(lambda n: n % d).map(lambda n: Fraction(n, d))
 
     return draw(word_maps(step_coefficients))
+
+
+class TestRankOracle:
+    @pytest.mark.parametrize("pmap, target, cap, levels", [
+        (build_example_map(), 1, 50, (1, 5, 10, 23, 24, 51)),
+        (PolyMap((x, y + x**2, z)), 1, 4, (1, 2, 3)),
+        (PolyMap((x**2 + y, x**2, x**2 * y + y**2 + z)), 2, 4, (1, 2, 3)),
+    ])
+    def test_same_ranks_as_matrix_rank(self, pmap, target, cap, levels):
+        # system_ranks over DomainMatrix gives the ranks of sympy's
+        # Matrix.rank over Rational on the same rows, consistent systems
+        # and inconsistent ones alike
+        products, f_target = support_products(pmap, target, cap), pmap.components[target]
+        consistent = set()
+        for level in levels:
+            rows = system_rows(products, f_target, level)
+            ab = sympy.Matrix(len(rows), len(products) + 1, [sympy.Rational(c) for row in rows for c in row])
+            ranks = (ab[:, :len(products)].rank(), ab.rank())
+            assert system_ranks(products, f_target, level) == ranks
+            consistent.add(ranks[0] == ranks[1])
+        assert consistent == {True, False}
 
 
 class TestScaledRows:
